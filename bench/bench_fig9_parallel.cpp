@@ -1,15 +1,16 @@
-// Figure 9 extension: replay throughput with the parallel replay engine.
+// Figure 9 extension: replay throughput of the default engine against the
+// reference engine.
 //
 // The baseline bench (bench_fig9_replaytime) reproduces the paper's falling
 // curve — actions/sec *drop* with rank count because every action costs a
 // coroutine switch and every flow change a solver pass over the coupled
-// component. This bench replays the same LU traces through the three engine
-// configurations side by side:
-//   sequential   the bit-exactness reference (ReplayConfig defaults)
-//   fast-path    deterministic action chains run inline, no switches
-//   fp+shards    fast path + disconnected solver components filled on a
-//                ShardPool (conservative barrier per solver epoch)
-// All three produce bit-identical simulated times (asserted here, and by
+// component. This bench replays the same LU traces through both engine
+// schedules side by side:
+//   reference    full network re-solve on every change, every await a
+//                coroutine switch (ReplayConfig::reference_engine)
+//   default      incremental solver + coroutine fast path: deterministic
+//                action chains run inline, no switches
+// Both produce bit-identical simulated times (asserted here, and by
 // tests/parallel_replay_test.cpp at full depth); only wall-clock differs.
 //
 // Rank counts: TIR_FIG9_PROCS=8,64,256 (comma list, powers of two) extends
@@ -45,16 +46,14 @@ std::vector<int> proc_counts() {
 
 int main() {
   const double scale = bench::scale();
-  const int shards = 8;
   bench::banner(
-      "Figure 9 (parallel engine) — replay throughput vs process count",
+      "Figure 9 (engine schedules) — replay throughput vs process count",
       "LU class B; iteration fraction " + std::to_string(scale) +
-          "; sequential vs fast-path vs fast-path+" +
-          std::to_string(shards) + " shards");
+          "; reference engine vs default engine");
 
-  std::printf("%5s %-10s | %11s %10s | %12s %11s %11s %9s\n", "procs",
-              "engine", "actions(M)", "replay(s)", "actions/sec",
-              "resumes(M)", "inline(M)", "parfills");
+  std::printf("%5s %-10s | %11s %10s | %12s %11s %11s\n", "procs", "engine",
+              "actions(M)", "replay(s)", "actions/sec", "resumes(M)",
+              "inline(M)");
 
   bool all_identical = true;
   for (const int procs : proc_counts()) {
@@ -79,19 +78,10 @@ int main() {
     const auto hosts = plat::build_cluster(target, plat::bordereau_spec(procs));
     const auto traces = trace::TraceSet::per_process_files(r.ti_files);
 
-    struct Mode {
-      const char* name;
-      bool fast_path;
-      int shards;
-    };
-    const Mode modes[] = {{"sequential", false, 1},
-                          {"fast-path", true, 1},
-                          {"fp+shards", true, shards}};
     double reference_time = 0.0;
-    for (const Mode& mode : modes) {
+    for (const bool reference : {true, false}) {
       replay::ReplayConfig config;
-      config.fast_path = mode.fast_path;
-      config.shards = mode.shards;
+      config.reference_engine = reference;
       replay::Replayer replayer(target, hosts, traces, config);
 
       const auto start = std::chrono::steady_clock::now();
@@ -100,18 +90,17 @@ int main() {
                               std::chrono::steady_clock::now() - start)
                               .count();
 
-      if (mode.shards == 1 && !mode.fast_path)
+      if (reference)
         reference_time = result.simulated_time;
       else if (result.simulated_time != reference_time)
         all_identical = false;
 
-      std::printf("%5d %-10s | %11.2f %10.2f | %12.0f %11.2f %11.2f %9llu\n",
-                  procs, mode.name, result.actions_replayed / 1e6, wall,
+      std::printf("%5d %-10s | %11.2f %10.2f | %12.0f %11.2f %11.2f\n",
+                  procs, reference ? "reference" : "default",
+                  result.actions_replayed / 1e6, wall,
                   result.actions_replayed / wall,
                   result.engine_stats.resumes / 1e6,
-                  result.engine_stats.fast_path_inline / 1e6,
-                  static_cast<unsigned long long>(
-                      result.engine_stats.solver_parallel_fills));
+                  result.engine_stats.fast_path_inline / 1e6);
       std::fflush(stdout);
     }
   }

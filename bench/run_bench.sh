@@ -36,11 +36,11 @@ echo "== Figure 9 replay time -> $OUT/BENCH_fig9.txt"
 TIR_SCALE="${TIR_SCALE:-0.05}" "$BUILD/bench/bench_fig9_replaytime" \
   | tee "$OUT/BENCH_fig9.txt"
 
-# Parallel-engine counterpart: sequential vs fast-path vs fast-path+shards
-# over the same LU class-B replays; the bench exits nonzero if any engine's
-# simulated time diverges bitwise. TIR_FIG9_PROCS=8,64,256,... extends the
-# rank counts (acquisition dominates past 64 — see EXPERIMENTS.md).
-echo "== Figure 9 parallel engines -> $OUT/BENCH_fig9_parallel.txt"
+# Engine-schedule counterpart: reference engine vs default engine over the
+# same LU class-B replays; the bench exits nonzero if the two simulated
+# times differ bitwise. TIR_FIG9_PROCS=8,64,256,... sets the rank counts
+# (replay, not acquisition, dominates at 256 — see EXPERIMENTS.md).
+echo "== Figure 9 engine schedules -> $OUT/BENCH_fig9_parallel.txt"
 TIR_SCALE="${TIR_SCALE:-0.05}" "$BUILD/bench/bench_fig9_parallel" \
   | tee "$OUT/BENCH_fig9_parallel.txt"
 

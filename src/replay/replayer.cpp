@@ -35,23 +35,8 @@ ReplayResult replay_files(const std::filesystem::path& platform_xml,
   spec.name = platform_xml.stem().string();
   spec.platform = platform;
   spec.platform_label = platform_xml.string();
-  // A directory stands for its SG_process<i>.trace files in pid order —
-  // unlike a shell glob, which sorts SG_process10 before SG_process2 and
-  // scrambles the positional pid mapping.
-  std::vector<std::filesystem::path> files;
-  for (const auto& path : traces) {
-    if (std::filesystem::is_directory(path)) {
-      for (int pid = 0;; ++pid) {
-        const auto f = path / ("SG_process" + std::to_string(pid) + ".trace");
-        if (!std::filesystem::exists(f)) break;
-        files.push_back(f);
-      }
-    } else {
-      files.push_back(path);
-    }
-  }
   spec.traces = trace::TraceSet::per_process_files(
-      files, trace::DecodeMode::strict, decode);
+      trace::expand_trace_paths(traces), trace::DecodeMode::strict, decode);
   spec.process_hosts = plat::resolve_deployment_spec(
       deployment_xml.string(), *platform, spec.traces.nprocs());
   spec.config = config;

@@ -1,8 +1,8 @@
 // Scenario result memoisation: never simulate the same question twice.
 //
 // A replay is a pure function of its scenario — the engine is deterministic
-// and every input (trace content, platform, deployment, MPI/engine knobs,
-// fault timeline) is named by the spec. The memo exploits that: results are
+// and every input (trace content, platform, deployment, MPI knobs, fault
+// timeline) is named by the spec. The memo exploits that: results are
 // keyed by a canonical fingerprint built over the *content digest* of the
 // trace plus every semantically relevant knob (scenario_memo_key), so a
 // repeat request returns the stored ReplayReport bit-for-bit — the
@@ -44,8 +44,10 @@ struct MemoStats {
 /// Canonical memo fingerprint of one scenario. Everything that can change
 /// the report goes in: trace content digest, platform identity (canonical
 /// file path or topology spec — `platform_key`), the resolved process ->
-/// host mapping, MPI and engine knobs, recording flags, and the full fault
-/// timeline. Scenario *names* stay out: renaming a row must still hit.
+/// host mapping, MPI knobs, recording flags, and the full fault timeline.
+/// Scenario *names* stay out: renaming a row must still hit. So does the
+/// test-only ReplayConfig::reference_engine, which is bit-identical to the
+/// default engine by contract.
 /// The trace decode policy stays out too — streamed and materialised decode
 /// of the same bytes are bit-identical by construction, so a report computed
 /// under decode=stream serves a later decode=materialise request and vice

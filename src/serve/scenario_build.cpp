@@ -1,5 +1,6 @@
 #include "serve/scenario_build.hpp"
 
+#include <set>
 #include <utility>
 
 #include "platform/platform_file.hpp"
@@ -214,20 +215,10 @@ CachedTrace InputResolver::traces(const std::string& spec, bool merged,
                                           trace::DecodeMode::strict, decode);
     };
   } else {
-    std::vector<fs::path> files;
-    for (const auto& token : str::split(spec, ',')) {
-      const fs::path p = resolve(std::string(token));
-      if (fs::is_directory(p)) {
-        for (int pid = 0;; ++pid) {
-          const fs::path f =
-              p / ("SG_process" + std::to_string(pid) + ".trace");
-          if (!fs::exists(f)) break;
-          files.push_back(f);
-        }
-      } else {
-        files.push_back(p);
-      }
-    }
+    std::vector<fs::path> paths;
+    for (const auto& token : str::split(spec, ','))
+      paths.push_back(resolve(std::string(token)));
+    const std::vector<fs::path> files = trace::expand_trace_paths(paths);
     key = "split:";
     for (const auto& f : files) {
       key += canonical_path_key(f);
@@ -267,6 +258,15 @@ SweepEntry build_scenario(const KeyValues& kv, InputResolver& resolver,
     spec.name = *name;
   else
     spec.name = "scenario-" + std::to_string(index);
+
+  // A misspelt key (eagre=) must not silently replay the default.
+  static const std::set<std::string> known = {
+      "name",  "platform", "deployment", "traces", "merged",
+      "eager", "collectives", "efficiency", "fault", "perturb",
+      "mc",    "seed",     "decode"};
+  for (const auto& [key, value] : kv.kv)
+    if (known.count(key) == 0)
+      throw Error("scenario '" + spec.name + "': unknown key '" + key + "'");
 
   const auto* platform = kv.find("platform");
   if (platform == nullptr)
@@ -322,22 +322,6 @@ SweepEntry build_scenario(const KeyValues& kv, InputResolver& resolver,
   if (const auto* eff = kv.find("efficiency"))
     spec.config.compute_efficiency =
         parse_double("scenario '" + spec.name + "': efficiency", *eff);
-  if (const auto* fastpath = kv.find("fastpath")) {
-    if (*fastpath == "on")
-      spec.config.fast_path = true;
-    else if (*fastpath == "off")
-      spec.config.fast_path = false;
-    else
-      throw Error("scenario '" + spec.name + "': fastpath must be on or off" +
-                  ", got '" + *fastpath + "'");
-  }
-  if (const auto* shards = kv.find("shards")) {
-    spec.config.shards =
-        parse_int("scenario '" + spec.name + "': shards", *shards);
-    if (spec.config.shards < 1 || spec.config.shards > 512)
-      throw Error("scenario '" + spec.name + "': shards must be in [1, 512]" +
-                  ", got '" + *shards + "'");
-  }
   if (const auto* fault = kv.find("fault"))
     for (const auto& token : str::split(*fault, ','))
       spec.faults.push_back(parse_fault(spec.name, std::string(token)));

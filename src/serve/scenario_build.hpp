@@ -12,8 +12,9 @@
 // optional stochastic envelope, and the serving metadata (trace digest,
 // canonical platform key) the result memo fingerprints.
 //
-// Every parameter is validated here, at build time — a typo fails with the
-// scenario name attached instead of mid-sweep inside a worker thread.
+// Every parameter is validated here, at build time — a typo, including an
+// unknown key, fails with the scenario name attached instead of mid-sweep
+// inside a worker thread.
 #pragma once
 
 #include <cstdint>

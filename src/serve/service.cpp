@@ -118,6 +118,19 @@ Response ReplayService::make_overloaded(const Request& request) const {
   return response;
 }
 
+Response ReplayService::reject(std::string error) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.received;
+    ++stats_.completed;
+    ++stats_.badrequests;
+  }
+  Response response;
+  response.status = Response::Status::badrequest;
+  response.error = std::move(error);
+  return response;
+}
+
 ServiceStats ReplayService::stats() const {
   ServiceStats out;
   {
@@ -322,12 +335,9 @@ Request parse_request_line(const std::string& line) {
         }
         break;
       }
-      case JsonValue::Type::boolean:
-        text = value.boolean ? "on" : "off";
-        break;
       default:
         throw ParseError("request field '" + key +
-                         "': expected a string, number or boolean");
+                         "': expected a string or number");
     }
     if (key == "id")
       request.id = std::move(text);

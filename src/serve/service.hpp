@@ -129,6 +129,12 @@ class ReplayService {
 
   Response make_overloaded(const Request& request) const;
 
+  /// Answers a protocol line that never became a request (malformed JSON,
+  /// unknown cmd) as badrequest, counted in stats as received, completed
+  /// and a bad request — the same counters a request failing to build a
+  /// scenario moves.
+  Response reject(std::string error);
+
   ServiceStats stats() const;
 
  private:
@@ -161,7 +167,7 @@ class ReplayService {
 // -- line protocol -----------------------------------------------------------
 
 /// Parses one request line: a JSON object whose "id" is echoed back and
-/// whose remaining string/number/boolean fields become parameters
+/// whose remaining string/number fields become parameters
 /// ({"id":"r1","platform":"cluster:hosts=4","traces":"ti/","deployment":
 /// "block","eager":4096}). Throws tir::ParseError.
 Request parse_request_line(const std::string& line);

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "obs/recorder.hpp"
-#include "simkern/shard_pool.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 
@@ -30,13 +29,6 @@ void Gate::open() {
 
 Engine::Engine(const plat::Platform& platform, EngineConfig config)
     : platform_(platform), config_(config) {
-  if (config.shards < 1)
-    throw SimError("engine: shards must be >= 1, got " +
-                   std::to_string(config.shards));
-  if (config.shards > 1) {
-    shard_pool_ = std::make_unique<ShardPool>(config.shards);
-    net_lmm_.set_executor(shard_pool_.get());
-  }
   net_lmm_.set_full_solve(config.full_solve);
   link_res_.reserve(platform.link_count());
   for (std::size_t l = 0; l < platform.link_count(); ++l)
@@ -221,7 +213,6 @@ void Engine::resolve_network() {
   stats_.solver_component_size_max =
       std::max<std::uint64_t>(stats_.solver_component_size_max,
                               solver.max_component_vars);
-  stats_.solver_parallel_fills = solver.parallel_fills;
   for (const VarId var : changed) {
     const auto& transfer = var_flows_[static_cast<std::size_t>(var)];
     if (!transfer) continue;

@@ -41,8 +41,6 @@ class Recorder;
 
 namespace tir::sim {
 
-class ShardPool;
-
 class Process {
  public:
   int id() const { return id_; }
@@ -76,25 +74,21 @@ struct EngineConfig {
   /// When true (default), run() throws SimError if processes remain blocked
   /// with no pending event (deadlock). When false, run() returns normally.
   bool deadlock_is_error = true;
-  /// When true, the network max-min solver re-solves the whole system on
-  /// every change instead of only the modified connected components —
-  /// the reference path for differential testing of the incremental solver.
+  /// Test oracle: when true, the network max-min solver re-solves the
+  /// whole system on every change instead of only the modified connected
+  /// components — the reference for differential testing of the
+  /// incremental solver.
   bool full_solve = false;
-  /// Coroutine fast path: when the awaited fluid's completion is provably
-  /// the sole event in the next epsilon window (no other runnable process,
-  /// no earlier or batched event), the engine completes it inline at the
-  /// await point instead of suspending and round-tripping through the
-  /// scheduler. Deterministic action chains — compute bursts, eager sends,
-  /// already-satisfied waits — then run without a coroutine switch.
-  /// Bit-identical to the sequential schedule by construction; only the
-  /// EngineStats fast-path/resume counters differ. Off = reference engine.
-  bool fast_path = false;
-  /// Sharded execution: > 1 spins up a pool of this many OS threads
-  /// (ShardPool) and fills disconnected network solver components in
-  /// parallel, one conservative barrier per solver epoch. Event order is
-  /// untouched, so results are bit-identical for every shard count.
-  /// 1 (default) = fully sequential reference engine. Range [1, 512].
-  int shards = 1;
+  /// Coroutine fast path (the production schedule): when the awaited
+  /// fluid's completion is provably the sole event in the next epsilon
+  /// window (no other runnable process, no earlier or batched event), the
+  /// engine completes it inline at the await point instead of suspending
+  /// and round-tripping through the scheduler. Deterministic action chains
+  /// — compute bursts, eager sends, already-satisfied waits — then run
+  /// without a coroutine switch. Bit-identical to the scheduler round trip
+  /// by construction; only the EngineStats fast-path/resume counters
+  /// differ. false is the test oracle's reference schedule.
+  bool fast_path = true;
   /// Observability sink, or null (the default: recording fully disabled,
   /// costing one pointer test per emission site). The engine records fault
   /// activations always, and per-activity spans on host tracks when the
@@ -112,12 +106,10 @@ struct EngineStats {
   std::uint64_t solver_vars_touched = 0;  ///< component vars re-solved (sum)
   std::uint64_t solver_component_size_max = 0;  ///< largest single re-solve
   std::uint64_t flows_rerated = 0;  ///< transfers whose rate was requeued
-  // Parallel replay: coroutine switches avoided by the fast path and solver
-  // epochs filled on the shard pool. Both are exactly zero when the
-  // corresponding EngineConfig knob is off.
+  // Coroutine switches avoided by the fast path; exactly zero when
+  // EngineConfig::fast_path is off.
   std::uint64_t fast_path_inline = 0;  ///< fluid completions run at the await
   std::uint64_t fast_path_ready = 0;   ///< already-done awaits, no suspension
-  std::uint64_t solver_parallel_fills = 0;  ///< solves filled on the pool
 };
 
 class Engine {
@@ -346,9 +338,6 @@ class Engine {
   // var_flows_, a VarId-indexed side table (dense: the solver recycles ids)
   // that lets resolve_network() re-rate exactly the flows the incremental
   // solver reports as changed instead of rescanning every live flow.
-  // The shard pool (EngineConfig::shards > 1) backs the solver's
-  // ParallelExecutor hook; it must outlive net_lmm_'s last solve.
-  std::unique_ptr<ShardPool> shard_pool_;
   MaxMin net_lmm_;
   std::vector<ResourceId> link_res_;   // link id -> network resource
   std::vector<std::shared_ptr<Transfer>> var_flows_;  // VarId -> flow

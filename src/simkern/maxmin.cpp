@@ -200,14 +200,17 @@ void MaxMin::expand_components() {
     grow(rb, vb);
   };
 
+  // The full solve seeds from the modified set first, exactly like the
+  // incremental solve, so the components both re-solve are discovered in
+  // the same order and report changed variables in the same order; the
+  // engine's finish-heap ties then break identically in both modes.
+  for (const ResourceId r : modified_resources_) grow_from_res(r);
+  for (const VarId v : modified_vars_) {
+    if (vars_[static_cast<std::size_t>(v)].active) grow_from_var(v);
+  }
   if (full_solve_) {
     for (std::size_t i = 0; i < vars_.size(); ++i) {
       if (vars_[i].active) grow_from_var(static_cast<VarId>(i));
-    }
-  } else {
-    for (const ResourceId r : modified_resources_) grow_from_res(r);
-    for (const VarId v : modified_vars_) {
-      if (vars_[static_cast<std::size_t>(v)].active) grow_from_var(v);
     }
   }
   for (const ResourceId r : modified_resources_)
@@ -283,12 +286,11 @@ void MaxMin::fill_component(std::size_t c) {
     }
   }
 
-  std::vector<VarId>& out = comp_changed_[c];
   for (std::size_t j = vb; j < ve; ++j) {
     Var& v = vars_[static_cast<std::size_t>(component_vars_[j])];
     v.rate = fill_var_[j].rate;
     if (fill_var_[j].rate != fill_var_[j].prev)
-      out.push_back(component_vars_[j]);
+      changed_.push_back(component_vars_[j]);
   }
 }
 
@@ -298,23 +300,7 @@ void MaxMin::solve() {
 
   expand_components();
 
-  const std::size_t ncomp = components_.size();
-  if (comp_changed_.size() < ncomp) comp_changed_.resize(ncomp);
-  for (std::size_t c = 0; c < ncomp; ++c) comp_changed_[c].clear();
-
-  // Components are disjoint slices of the constraint graph, so the fills
-  // are independent; the executor path and the sequential loop produce the
-  // same rates bit for bit.
-  if (executor_ != nullptr && ncomp >= 2 &&
-      component_vars_.size() >= parallel_threshold_) {
-    executor_->run(ncomp, [this](std::size_t c) { fill_component(c); });
-    ++stats_.parallel_fills;
-  } else {
-    for (std::size_t c = 0; c < ncomp; ++c) fill_component(c);
-  }
-  for (std::size_t c = 0; c < ncomp; ++c)
-    changed_.insert(changed_.end(), comp_changed_[c].begin(),
-                    comp_changed_[c].end());
+  for (std::size_t c = 0; c < components_.size(); ++c) fill_component(c);
 
   ++stats_.solves;
   stats_.vars_touched += component_vars_.size();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <charconv>
 #include <cstdlib>
 
@@ -81,6 +82,9 @@ double to_double(std::string_view s) {
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
   if (ec != std::errc{} || ptr != s.data() + s.size())
     throw ParseError("invalid number: '" + std::string(s) + "'");
+  // from_chars accepts "nan" and "inf"; no trace quantity may be either.
+  if (!std::isfinite(value))
+    throw ParseError("non-finite number: '" + std::string(s) + "'");
   return value;
 }
 

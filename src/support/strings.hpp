@@ -27,7 +27,8 @@ std::vector<std::string_view> split(std::string_view s, char sep);
 bool starts_with(std::string_view s, std::string_view prefix);
 bool ends_with(std::string_view s, std::string_view suffix);
 
-/// Parses a double; throws tir::ParseError on garbage or trailing junk.
+/// Parses a finite double; throws tir::ParseError on garbage, trailing
+/// junk, overflow, nan or inf.
 double to_double(std::string_view s);
 
 /// Parses a non-negative integer; throws tir::ParseError on failure.

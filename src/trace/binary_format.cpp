@@ -162,6 +162,8 @@ double BinaryTraceReader::get_double() {
     throw ParseError(path_.string() + ": truncated double");
   double value;
   std::memcpy(&value, raw, sizeof(double));
+  if (!std::isfinite(value))
+    throw ParseError(path_.string() + ": non-finite double");
   return value;
 }
 

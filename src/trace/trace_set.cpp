@@ -200,6 +200,27 @@ class DecodedSource final : public ActionSource {
 
 }  // namespace
 
+std::vector<std::filesystem::path> expand_trace_paths(
+    const std::vector<std::filesystem::path>& paths) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& path : paths) {
+    if (!std::filesystem::is_directory(path)) {
+      files.push_back(path);
+      continue;
+    }
+    const std::size_t first = files.size();
+    for (int pid = 0;; ++pid) {
+      auto f = path / ("SG_process" + std::to_string(pid) + ".trace");
+      if (!std::filesystem::exists(f)) break;
+      files.push_back(std::move(f));
+    }
+    if (files.size() == first)
+      throw IoError("trace directory '" + path.string() +
+                    "' holds no SG_process0.trace");
+  }
+  return files;
+}
+
 TraceSet::TraceSet() : storage_(std::make_shared<Storage>()) {}
 
 TraceSet::~TraceSet() = default;

@@ -77,6 +77,15 @@ DecodePolicy parse_decode_policy(std::string_view text);
 /// Canonical spelling ("stream", "materialise", "auto").
 std::string_view to_string(DecodePolicy policy);
 
+/// Expands trace-path arguments into per-process files in pid order: a
+/// directory stands for its SG_process<i>.trace files, i = 0, 1, ... up to
+/// the first missing one (unlike a shell glob, which sorts SG_process10
+/// before SG_process2 and scrambles the pid mapping); any other path stands
+/// for itself. Throws tir::IoError for a directory without
+/// SG_process0.trace. Every tool that takes trace paths resolves them here.
+std::vector<std::filesystem::path> expand_trace_paths(
+    const std::vector<std::filesystem::path>& paths);
+
 /// Automatic-policy thresholds: a set streams when its on-disk footprint or
 /// its compact-expanded action count (read from container framing alone)
 /// exceeds these.

@@ -4,7 +4,8 @@
 // preserve the stream, trace::validate reaches the same verdict whichever
 // on-disk format carried the trace, and the bounded-memory streaming
 // decoder yields element-identical sequences — including the salvage
-// truncation points lenient decode picks on corrupted files.
+// truncation points lenient decode picks on corrupted files. Numeric edge
+// cases (nan, inf, -inf volumes) must be rejected by every codec.
 //
 // Seeds are logged on every run; reproduce one case with
 //   TIR_FUZZ_SEED=<seed> ./test_extended --gtest_filter='*CodecFuzz*'
@@ -15,9 +16,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "support/error.hpp"
 #include "support/rng.hpp"
 #include "trace/codec.hpp"
 #include "trace/digest.hpp"
@@ -308,3 +311,29 @@ TEST_P(CodecFuzz, StreamedLenientSalvageMatchesMaterialised) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz,
                          ::testing::ValuesIn(fuzz_seeds()));
+
+// A non-finite volume never decodes, whichever codec carried it and
+// whichever decoder reads it: `p0 compute nan` must not replay to a
+// simulated time of nan.
+TEST(CodecEdgeCases, NonFiniteVolumesAreRejectedEveryCodec) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("tir_nonfinite_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const double v :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    const std::vector<Action> actions = {
+        {0, ActionType::comm_size, -1, 0, 0, 1},
+        {0, ActionType::compute, -1, v, 0, 0}};
+    for (const trace::TraceCodec* codec : trace::all_codecs()) {
+      SCOPED_TRACE(std::string(codec->name()) + " " + std::to_string(v));
+      const fs::path file = dir / ("nonfinite." + std::string(codec->name()));
+      codec->encode(file, actions, 0);
+      EXPECT_THROW(codec->decode(file), ParseError);
+      const auto streamed = trace::TraceSet::per_process_files(
+          {file}, trace::DecodeMode::strict, trace::DecodePolicy::stream);
+      EXPECT_THROW(drain(streamed, 0), ParseError);
+    }
+  }
+  fs::remove_all(dir);
+}

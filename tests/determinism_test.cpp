@@ -164,45 +164,30 @@ TEST(DeterminismTest, SpanStreamsIdenticalAcrossSweepWorkerCounts) {
 
 namespace {
 
-// The parallel-engine matrix (shards x fast path). Used by the tests below
-// to assert a replay is a pure function of its spec regardless of which
-// engine executes it — the license for every parallel knob to default on in
-// sweeps someday without changing a single result.
-struct EngineKnobs {
-  bool fast_path;
-  int shards;
-};
-const EngineKnobs kEngineMatrix[] = {
-    {false, 1}, {false, 2}, {false, 4}, {false, 8},
-    {true, 1},  {true, 2},  {true, 4},  {true, 8},
-};
-
-// Runs `spec` under every matrix entry and asserts results and span
-// streams are bit-identical to the (fast_path=off, shards=1) reference.
+// The engine matrix: the reference engine (full re-solve, no fast path)
+// and the default engine. Used by the tests below to assert a replay is a
+// pure function of its spec regardless of which schedule executes it.
+//
+// Runs `spec` on both engines and asserts results and span streams are
+// bit-identical to the reference engine.
 void expect_matrix_identical(ScenarioSpec spec) {
   spec.config.record_spans = true;
-  spec.config.fast_path = false;
-  spec.config.shards = 1;
+  spec.config.reference_engine = true;
   const ReplayResult ref = run_scenario(spec);
   ASSERT_TRUE(ref.spans);
 
-  for (const EngineKnobs& knobs : kEngineMatrix) {
-    SCOPED_TRACE("fast_path=" + std::to_string(knobs.fast_path) +
-                 " shards=" + std::to_string(knobs.shards));
-    spec.config.fast_path = knobs.fast_path;
-    spec.config.shards = knobs.shards;
-    const ReplayResult r = run_scenario(spec);
-    EXPECT_TRUE(bit_equal(ref.simulated_time, r.simulated_time))
-        << ref.simulated_time << " vs " << r.simulated_time;
-    EXPECT_EQ(ref.actions_replayed, r.actions_replayed);
-    ASSERT_EQ(ref.process_finish_times.size(), r.process_finish_times.size());
-    for (std::size_t p = 0; p < ref.process_finish_times.size(); ++p)
-      EXPECT_TRUE(bit_equal(ref.process_finish_times[p],
-                            r.process_finish_times[p]))
-          << "process " << p;
-    ASSERT_TRUE(r.spans);
-    EXPECT_TRUE(ref.spans->same_streams(*r.spans));
-  }
+  spec.config.reference_engine = false;
+  const ReplayResult r = run_scenario(spec);
+  EXPECT_TRUE(bit_equal(ref.simulated_time, r.simulated_time))
+      << ref.simulated_time << " vs " << r.simulated_time;
+  EXPECT_EQ(ref.actions_replayed, r.actions_replayed);
+  ASSERT_EQ(ref.process_finish_times.size(), r.process_finish_times.size());
+  for (std::size_t p = 0; p < ref.process_finish_times.size(); ++p)
+    EXPECT_TRUE(bit_equal(ref.process_finish_times[p],
+                          r.process_finish_times[p]))
+        << "process " << p;
+  ASSERT_TRUE(r.spans);
+  EXPECT_TRUE(ref.spans->same_streams(*r.spans));
 }
 
 }  // namespace
@@ -264,25 +249,21 @@ TEST(DeterminismTest, MonteCarloReplicasAgreeAcrossEngineModes) {
 
   ScenarioSpec spec = make_spec(platform, hosts, traces);
   spec.config.record_spans = false;
+  spec.config.reference_engine = true;
   const McSummary ref = run_monte_carlo(spec, perturb, opts);
   ASSERT_EQ(0, ref.failures);
   ASSERT_EQ(static_cast<std::size_t>(opts.replicas), ref.samples.size());
 
-  for (const EngineKnobs& knobs : kEngineMatrix) {
-    SCOPED_TRACE("fast_path=" + std::to_string(knobs.fast_path) +
-                 " shards=" + std::to_string(knobs.shards));
-    spec.config.fast_path = knobs.fast_path;
-    spec.config.shards = knobs.shards;
-    const McSummary run = run_monte_carlo(spec, perturb, opts);
-    EXPECT_EQ(0, run.failures);
-    EXPECT_TRUE(bit_equal(ref.baseline, run.baseline));
-    EXPECT_TRUE(bit_equal(ref.mean, run.mean));
-    EXPECT_TRUE(bit_equal(ref.stddev, run.stddev));
-    ASSERT_EQ(ref.samples.size(), run.samples.size());
-    for (std::size_t i = 0; i < ref.samples.size(); ++i)
-      EXPECT_TRUE(bit_equal(ref.samples[i], run.samples[i]))
-          << "replica " << i;
-  }
+  spec.config.reference_engine = false;
+  const McSummary run = run_monte_carlo(spec, perturb, opts);
+  EXPECT_EQ(0, run.failures);
+  EXPECT_TRUE(bit_equal(ref.baseline, run.baseline));
+  EXPECT_TRUE(bit_equal(ref.mean, run.mean));
+  EXPECT_TRUE(bit_equal(ref.stddev, run.stddev));
+  ASSERT_EQ(ref.samples.size(), run.samples.size());
+  for (std::size_t i = 0; i < ref.samples.size(); ++i)
+    EXPECT_TRUE(bit_equal(ref.samples[i], run.samples[i]))
+        << "replica " << i;
 }
 
 TEST(DeterminismTest, FaultyScenarioSpansAreReproducible) {

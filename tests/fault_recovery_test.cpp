@@ -91,7 +91,7 @@ Cluster make_cluster(int n) {
 // The acceptance differential: degrade the backbone at t1, restore it at
 // t2. The result must be strictly between the healthy run and the
 // permanently-degraded run, and identical whether the incremental solver or
-// the full-solve reference path computes it.
+// the reference engine's full solve computes it.
 TEST(FaultRecoveryTest, LinkRecoveryLandsBetweenHealthyAndPermanent) {
   const auto [platform, hosts] = make_cluster(2);
   const auto baseline = base_spec(platform, hosts, comm_heavy());
@@ -109,9 +109,9 @@ TEST(FaultRecoveryTest, LinkRecoveryLandsBetweenHealthyAndPermanent) {
   EXPECT_LT(recovered, degraded);
 
   // In-flight transfers are re-rated on both transitions; the incremental
-  // solver and the full-solve reference must agree bit-for-bit.
+  // solver and the reference engine's full solve must agree bit-for-bit.
   auto full = transient;
-  full.config.full_solve = true;
+  full.config.reference_engine = true;
   const double reference = run_scenario(full).simulated_time;
   EXPECT_EQ(std::memcmp(&recovered, &reference, sizeof recovered), 0)
       << "incremental " << recovered << " vs full-solve " << reference;

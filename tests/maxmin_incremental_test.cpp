@@ -248,7 +248,7 @@ TEST(MaxMinIncremental, IntrusiveRemovalSurvivesHeavyChurn) {
 // ---------------------------------------------------------------------------
 // Engine-level differential: full replays (including the fault-injection
 // degrade paths) must produce the same simulated time with the incremental
-// solver and with full_solve.
+// solver and on the reference engine (full solve, no fast path).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -283,9 +283,9 @@ std::vector<std::vector<Action>> ring_workload(int nprocs) {
   return streams;
 }
 
-double simulate(const ScenarioSpec& spec, bool full_solve) {
+double simulate(const ScenarioSpec& spec, bool reference_engine) {
   ScenarioSpec run = spec;
-  run.config.full_solve = full_solve;
+  run.config.reference_engine = reference_engine;
   return run_scenario(run).simulated_time;
 }
 
@@ -378,7 +378,7 @@ TEST(MaxMinIncremental, EngineStatsExposeSolverWork) {
   EXPECT_GT(st.flows_rerated, 0u);
   // Incremental work is bounded by what full solving would have done.
   ScenarioSpec full = spec;
-  full.config.full_solve = true;
+  full.config.reference_engine = true;
   const auto& full_st = run_scenario(full).engine_stats;
   EXPECT_LE(st.solver_vars_touched, full_st.solver_vars_touched);
 }

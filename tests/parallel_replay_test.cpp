@@ -1,18 +1,18 @@
-// Parallel replay differential battery: the coroutine fast path and the
-// sharded solver are pure optimisations — every observable replay output
-// must be BIT-IDENTICAL to the sequential reference engine. This file
-// locks that contract down across workload shapes (synthetic mixed traffic,
-// acquired LU traces at two job sizes), topologies (hierarchical cluster,
-// dragonfly, fat-tree, torus), fault timelines with recovery, perturbation
-// replicas, and structured failure reports, plus the engine-stat
-// regressions (fast-path counters fire exactly when the knob is on) and
-// direct MaxMin/ShardPool concurrency tests for the sanitizer jobs.
+// Engine differential battery: the coroutine fast path and the incremental
+// network solver are pure optimisations — every observable replay output
+// of the default engine must be BIT-IDENTICAL to the reference engine
+// (ReplayConfig::reference_engine: full re-solve on every change, no fast
+// path). This file locks that contract down across workload shapes
+// (synthetic mixed traffic, acquired LU traces at two job sizes),
+// topologies (hierarchical cluster, dragonfly, fat-tree, torus), fault
+// timelines with recovery, perturbation replicas, and structured failure
+// reports, plus the engine-stat regression that the default engine really
+// takes the fast path.
 //
 // Carries the ctest label "parallel"; the CI ThreadSanitizer job runs
 // exactly this label plus "sweep" (.github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -29,8 +29,6 @@
 #include "platform/topology.hpp"
 #include "replay/perturb.hpp"
 #include "replay/scenario.hpp"
-#include "simkern/maxmin.hpp"
-#include "simkern/shard_pool.hpp"
 #include "trace/text_format.hpp"
 #include "trace/trace_set.hpp"
 
@@ -44,89 +42,45 @@ bool bit_equal(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
-// The engine-mode matrix: the sequential engine (row 0) is the
-// bit-exactness reference every other mode is checked against.
-struct EngineMode {
-  const char* label;
-  bool fast_path;
-  int shards;
-};
-constexpr EngineMode kModes[] = {
-    {"sequential", false, 1}, {"fast-path", true, 1},
-    {"shards-only", false, 4}, {"fp+2shards", true, 2},
-    {"fp+4shards", true, 4},  {"fp+8shards", true, 8},
-};
-
-// Replays `spec` under every engine mode and asserts all outputs are
-// bit-identical to the sequential reference: simulated time, per-process
-// finish times, action count, the recorded span streams, and (when
-// requested) the timed trace. Engine stats are compared as invariants, not
-// bitwise: the fast-path and shard counters are exactly what may differ.
+// Replays `spec` on the reference engine and on the default engine and
+// asserts all outputs are bit-identical: simulated time, per-process finish
+// times, action count, the recorded span streams, and (when requested) the
+// timed trace. Engine stats are compared as invariants, not bitwise: the
+// fast-path and resume counters and the solver's touched-variable count
+// are exactly what may differ.
 void expect_engine_equivalence(ScenarioSpec spec) {
   spec.config.record_spans = true;
 
-  std::vector<ReplayResult> results;
-  for (const EngineMode& mode : kModes) {
-    spec.config.fast_path = mode.fast_path;
-    spec.config.shards = mode.shards;
-    results.push_back(run_scenario(spec));
-  }
+  spec.config.reference_engine = true;
+  const ReplayResult ref = run_scenario(spec);
+  spec.config.reference_engine = false;
+  const ReplayResult r = run_scenario(spec);
 
-  const ReplayResult& ref = results[0];
-  ASSERT_TRUE(ref.spans);
-  for (std::size_t m = 1; m < results.size(); ++m) {
-    const ReplayResult& r = results[m];
-    SCOPED_TRACE(kModes[m].label);
-    EXPECT_TRUE(bit_equal(ref.simulated_time, r.simulated_time))
-        << ref.simulated_time << " vs " << r.simulated_time;
-    EXPECT_EQ(ref.actions_replayed, r.actions_replayed);
-    ASSERT_EQ(ref.process_finish_times.size(), r.process_finish_times.size());
-    for (std::size_t p = 0; p < ref.process_finish_times.size(); ++p)
-      EXPECT_TRUE(bit_equal(ref.process_finish_times[p],
-                            r.process_finish_times[p]))
-          << "process " << p;
-    ASSERT_TRUE(r.spans);
-    EXPECT_TRUE(ref.spans->same_streams(*r.spans));
-    ASSERT_EQ(ref.timed_trace.size(), r.timed_trace.size());
-    for (std::size_t i = 0; i < ref.timed_trace.size(); ++i) {
-      EXPECT_TRUE(bit_equal(ref.timed_trace[i].start, r.timed_trace[i].start));
-      EXPECT_TRUE(bit_equal(ref.timed_trace[i].end, r.timed_trace[i].end));
-    }
+  EXPECT_TRUE(bit_equal(ref.simulated_time, r.simulated_time))
+      << ref.simulated_time << " vs " << r.simulated_time;
+  EXPECT_EQ(ref.actions_replayed, r.actions_replayed);
+  ASSERT_EQ(ref.process_finish_times.size(), r.process_finish_times.size());
+  for (std::size_t p = 0; p < ref.process_finish_times.size(); ++p)
+    EXPECT_TRUE(
+        bit_equal(ref.process_finish_times[p], r.process_finish_times[p]))
+        << "process " << p;
+  ASSERT_TRUE(ref.spans && r.spans);
+  EXPECT_TRUE(ref.spans->same_streams(*r.spans));
+  ASSERT_EQ(ref.timed_trace.size(), r.timed_trace.size());
+  for (std::size_t i = 0; i < ref.timed_trace.size(); ++i) {
+    EXPECT_TRUE(bit_equal(ref.timed_trace[i].start, r.timed_trace[i].start));
+    EXPECT_TRUE(bit_equal(ref.timed_trace[i].end, r.timed_trace[i].end));
   }
 
   // Stat invariants. The simulated world is identical, so counters that
-  // describe the world (activities, solves, solver work) must agree
-  // everywhere; only the scheduling counters may move, and only as the
-  // knobs say.
-  for (std::size_t m = 0; m < results.size(); ++m) {
-    const auto& stats = results[m].engine_stats;
-    SCOPED_TRACE(kModes[m].label);
-    EXPECT_EQ(ref.engine_stats.activities, stats.activities);
-    EXPECT_EQ(ref.engine_stats.solver_calls, stats.solver_calls);
-    EXPECT_EQ(ref.engine_stats.solver_vars_touched,
-              stats.solver_vars_touched);
-    EXPECT_EQ(ref.engine_stats.flows_rerated, stats.flows_rerated);
-    if (!kModes[m].fast_path) {
-      EXPECT_EQ(0u, stats.fast_path_inline);
-    }
-    if (kModes[m].shards == 1) {
-      EXPECT_EQ(0u, stats.solver_parallel_fills);
-    }
-  }
-  // Shard count must not affect what the fast path does: modes with the
-  // same fast_path setting resume and inline identically.
-  for (std::size_t m = 0; m < results.size(); ++m) {
-    for (std::size_t n = m + 1; n < results.size(); ++n) {
-      if (kModes[m].fast_path != kModes[n].fast_path) continue;
-      SCOPED_TRACE(std::string(kModes[m].label) + " vs " + kModes[n].label);
-      EXPECT_EQ(results[m].engine_stats.resumes,
-                results[n].engine_stats.resumes);
-      EXPECT_EQ(results[m].engine_stats.fast_path_inline,
-                results[n].engine_stats.fast_path_inline);
-      EXPECT_EQ(results[m].engine_stats.fast_path_ready,
-                results[n].engine_stats.fast_path_ready);
-    }
-  }
+  // describe the world must agree; the reference engine never inlines.
+  EXPECT_EQ(ref.engine_stats.activities, r.engine_stats.activities);
+  EXPECT_EQ(ref.engine_stats.solver_calls, r.engine_stats.solver_calls);
+  EXPECT_EQ(ref.engine_stats.flows_rerated, r.engine_stats.flows_rerated);
+  EXPECT_LE(r.engine_stats.solver_vars_touched,
+            ref.engine_stats.solver_vars_touched);
+  EXPECT_EQ(0u, ref.engine_stats.fast_path_inline);
+  EXPECT_EQ(0u, ref.engine_stats.fast_path_ready);
 }
 
 // Synthetic workload crossing every protocol boundary: eager and
@@ -166,8 +120,7 @@ std::vector<std::vector<trace::Action>> mixed_actions(int nprocs,
 // All-ranks-at-once eager burst: every rank isends a small message to its
 // neighbour at t = 0 and drains with waitall. The simultaneous injections
 // touch one loopback link per host plus the shared fabric, so the first
-// solve spans many disconnected components — the shape the shard pool
-// exists for.
+// solve spans many disconnected components.
 std::vector<std::vector<trace::Action>> eager_burst_actions(int nprocs,
                                                             int rounds) {
   using trace::Action;
@@ -239,7 +192,7 @@ trace::TraceSet lu_traces(int nprocs) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Differential battery: engine modes agree bitwise.
+// Differential battery: default and reference engines agree bitwise.
 // ---------------------------------------------------------------------------
 
 TEST(ParallelReplayTest, MixedTrafficDifferential) {
@@ -371,30 +324,23 @@ TEST(ParallelReplayTest, DeadlockReportDifferential) {
   }
   ScenarioSpec spec = cluster_spec(2, std::move(actions));
 
-  std::vector<ReplayReport> reports;
-  for (const EngineMode& mode : kModes) {
-    spec.config.fast_path = mode.fast_path;
-    spec.config.shards = mode.shards;
-    reports.push_back(run_scenario_report(spec));
-  }
+  spec.config.reference_engine = true;
+  const ReplayReport ref = run_scenario_report(spec);
+  spec.config.reference_engine = false;
+  const ReplayReport r = run_scenario_report(spec);
 
-  const ReplayReport& ref = reports[0];
   EXPECT_EQ(ReplayStatus::deadlock, ref.status);
   EXPECT_FALSE(ref.diagnostics.empty());
-  for (std::size_t m = 1; m < reports.size(); ++m) {
-    const ReplayReport& r = reports[m];
-    SCOPED_TRACE(kModes[m].label);
-    EXPECT_EQ(ref.status, r.status);
-    EXPECT_TRUE(bit_equal(ref.sim_time, r.sim_time));
-    EXPECT_TRUE(bit_equal(ref.coverage, r.coverage));
-    EXPECT_EQ(ref.error, r.error);
-    EXPECT_EQ(ref.diagnostics, r.diagnostics);
-    EXPECT_EQ(ref.result.actions_replayed, r.result.actions_replayed);
-  }
+  EXPECT_EQ(ref.status, r.status);
+  EXPECT_TRUE(bit_equal(ref.sim_time, r.sim_time));
+  EXPECT_TRUE(bit_equal(ref.coverage, r.coverage));
+  EXPECT_EQ(ref.error, r.error);
+  EXPECT_EQ(ref.diagnostics, r.diagnostics);
+  EXPECT_EQ(ref.result.actions_replayed, r.result.actions_replayed);
 }
 
 // ---------------------------------------------------------------------------
-// Engine-stat regressions: the counters fire exactly when the knob is on.
+// Engine-stat regression: the default engine takes the fast path.
 // ---------------------------------------------------------------------------
 
 TEST(ParallelReplayTest, FastPathCountersFireOnEagerTraffic) {
@@ -417,137 +363,17 @@ TEST(ParallelReplayTest, FastPathCountersFireOnEagerTraffic) {
   }
   ScenarioSpec spec = cluster_spec(2, std::move(actions));
 
-  spec.config.fast_path = true;
   const ReplayResult on = run_scenario(spec);
   EXPECT_GT(on.engine_stats.fast_path_inline, 0u)
-      << "fast path never inlined a completion on eager traffic";
+      << "default engine never inlined a completion on eager traffic";
 
-  spec.config.fast_path = false;
+  spec.config.reference_engine = true;
   const ReplayResult off = run_scenario(spec);
   EXPECT_EQ(0u, off.engine_stats.fast_path_inline);
   EXPECT_EQ(0u, off.engine_stats.fast_path_ready);
 
   // The avoided work is visible: every inlined completion is a coroutine
-  // resume the sequential engine had to pay for.
+  // resume the reference engine had to pay for.
   EXPECT_LT(on.engine_stats.resumes, off.engine_stats.resumes);
   EXPECT_TRUE(bit_equal(on.simulated_time, off.simulated_time));
-}
-
-TEST(ParallelReplayTest, ShardPoolEngagesOnWideBursts) {
-  // 48 simultaneous eager injections spread across 48 loopback components:
-  // comfortably past the engagement threshold (>= 2 components, >= 32
-  // component variables in one solve).
-  ScenarioSpec spec = cluster_spec(48, eager_burst_actions(48, 2));
-
-  spec.config.shards = 8;
-  const ReplayResult sharded = run_scenario(spec);
-  EXPECT_GT(sharded.engine_stats.solver_parallel_fills, 0u)
-      << "shard pool never engaged on a wide burst";
-
-  spec.config.shards = 1;
-  const ReplayResult sequential = run_scenario(spec);
-  EXPECT_EQ(0u, sequential.engine_stats.solver_parallel_fills);
-  EXPECT_TRUE(bit_equal(sharded.simulated_time, sequential.simulated_time));
-}
-
-// ---------------------------------------------------------------------------
-// Direct concurrency tests — the pieces the TSan job exists to watch.
-// ---------------------------------------------------------------------------
-
-TEST(ParallelReplayTest, ShardPoolRunsEveryIndexExactlyOnce) {
-  sim::ShardPool pool(8);
-  ASSERT_EQ(8, pool.shards());
-  for (int round = 0; round < 50; ++round) {
-    const std::size_t n = static_cast<std::size_t>(1 + (round * 37) % 200);
-    std::vector<std::atomic<int>> hits(n);
-    std::atomic<std::size_t> total{0};
-    pool.run(n, [&](std::size_t i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-      total.fetch_add(i, std::memory_order_relaxed);
-    });
-    std::size_t expected = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(1, hits[i].load()) << "index " << i << " round " << round;
-      expected += i;
-    }
-    EXPECT_EQ(expected, total.load());
-  }
-}
-
-TEST(ParallelReplayTest, ShardPoolRethrowsWorkerExceptions) {
-  sim::ShardPool pool(4);
-  EXPECT_THROW(pool.run(64,
-                        [](std::size_t i) {
-                          if (i == 13) throw std::runtime_error("shard 13");
-                        }),
-               std::runtime_error);
-  // The pool must survive a throwing job: the next run still works.
-  std::atomic<int> count{0};
-  pool.run(32, [&](std::size_t) { count.fetch_add(1); });
-  EXPECT_EQ(32, count.load());
-}
-
-TEST(ParallelReplayTest, MaxMinExecutorMatchesSequentialBitwise) {
-  // Two solver instances fed identical mutations: one fills sequentially,
-  // one through an 8-way pool with the engagement threshold forced low.
-  // Rates must match bitwise — the executor only changes which OS thread
-  // runs a component's fill, never its arithmetic.
-  sim::ShardPool pool(8);
-  sim::MaxMin seq, par;
-  par.set_executor(&pool);
-  par.set_parallel_threshold(2);
-
-  // 6 disconnected components x 12 variables, mixed weights and bounds.
-  constexpr int kComponents = 6, kResPer = 3, kVarsPer = 12;
-  std::vector<std::vector<sim::ResourceId>> res_s(kComponents), res_p(
-                                                      kComponents);
-  for (int c = 0; c < kComponents; ++c) {
-    for (int r = 0; r < kResPer; ++r) {
-      const double cap = 100.0 + 17.0 * c + 3.0 * r;
-      res_s[c].push_back(seq.add_resource(cap));
-      res_p[c].push_back(par.add_resource(cap));
-    }
-  }
-  std::vector<sim::VarId> vars_s, vars_p;
-  for (int c = 0; c < kComponents; ++c) {
-    for (int v = 0; v < kVarsPer; ++v) {
-      const double weight = 1.0 + 0.25 * ((v + c) % 5);
-      const double bound =
-          v % 4 == 0 ? 7.5 + c : sim::MaxMin::kInf;
-      // Each variable crosses one or two of its component's resources.
-      std::vector<sim::ResourceId> rs{res_s[c][v % kResPer]};
-      std::vector<sim::ResourceId> rp{res_p[c][v % kResPer]};
-      if (v % 3 == 0) {
-        rs.push_back(res_s[c][(v + 1) % kResPer]);
-        rp.push_back(res_p[c][(v + 1) % kResPer]);
-      }
-      vars_s.push_back(seq.add_variable(weight, rs, bound));
-      vars_p.push_back(par.add_variable(weight, rp, bound));
-    }
-  }
-
-  seq.solve();
-  par.solve();
-  ASSERT_GT(par.solve_stats().parallel_fills, 0u);
-  for (std::size_t i = 0; i < vars_s.size(); ++i)
-    EXPECT_TRUE(bit_equal(seq.rate(vars_s[i]), par.rate(vars_p[i])))
-        << "var " << i;
-
-  // Incremental mutations keep agreeing (remove every third variable, then
-  // degrade one resource per component).
-  for (std::size_t i = 0; i < vars_s.size(); i += 3) {
-    seq.remove_variable(vars_s[i]);
-    par.remove_variable(vars_p[i]);
-  }
-  for (int c = 0; c < kComponents; ++c) {
-    seq.set_capacity(res_s[c][0], 40.0 + c);
-    par.set_capacity(res_p[c][0], 40.0 + c);
-  }
-  seq.solve();
-  par.solve();
-  for (std::size_t i = 0; i < vars_s.size(); ++i) {
-    if (i % 3 == 0) continue;
-    EXPECT_TRUE(bit_equal(seq.rate(vars_s[i]), par.rate(vars_p[i])))
-        << "var " << i << " after mutations";
-  }
 }

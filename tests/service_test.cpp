@@ -504,15 +504,16 @@ TEST(JsonTest, RejectsMalformedInput) {
 TEST(ProtocolTest, RequestLineRoundTrip) {
   const auto request = serve::parse_request_line(
       "{\"id\":\"r7\",\"platform\":\"cluster:hosts=4\",\"eager\":65536,"
-      "\"efficiency\":0.5,\"fastpath\":true}");
+      "\"efficiency\":0.5}");
   EXPECT_EQ(request.id, "r7");
   EXPECT_EQ(request.params.at("platform"), "cluster:hosts=4");
   EXPECT_EQ(request.params.at("eager"), "65536");  // integral, no exponent
   EXPECT_EQ(request.params.at("efficiency"), "0.5");
-  EXPECT_EQ(request.params.at("fastpath"), "on");
 
   EXPECT_THROW(serve::parse_request_line("[1,2]"), ParseError);
   EXPECT_THROW(serve::parse_request_line("{\"a\":[1]}"), ParseError);
+  // No scenario key takes a boolean.
+  EXPECT_THROW(serve::parse_request_line("{\"a\":true}"), ParseError);
 }
 
 TEST(ProtocolTest, ResponseRendersAsParseableJsonLine) {
@@ -866,7 +867,7 @@ TEST(ReplayServiceTest, BadRequestIsIsolatedFromItsBatch) {
   serve::Request bad;
   bad.id = "bad";
   bad.params = fixture.base_params;
-  bad.params["shards"] = "0";  // validated at build time
+  bad.params["eager"] = "lots";  // validated at build time
   serve::Request bad_mc;
   bad_mc.id = "mc";
   bad_mc.params = fixture.base_params;
@@ -874,11 +875,43 @@ TEST(ReplayServiceTest, BadRequestIsIsolatedFromItsBatch) {
 
   const auto r_bad = service.run(bad);
   EXPECT_EQ(r_bad.status, serve::Response::Status::badrequest);
-  EXPECT_NE(r_bad.error.find("shards"), std::string::npos);
+  EXPECT_NE(r_bad.error.find("lots"), std::string::npos);
   const auto r_mc = service.run(bad_mc);
   EXPECT_EQ(r_mc.status, serve::Response::Status::badrequest);
   const auto r_good = service.run(good);
   EXPECT_EQ(r_good.status, serve::Response::Status::ok) << r_good.error;
+}
+
+TEST(ReplayServiceTest, UnknownKeysAreRejectedByName) {
+  ServiceFixture fixture;
+  serve::ReplayService service(fixture.options());
+
+  // A misspelt key and the removed engine keys must not replay the
+  // defaults silently.
+  for (const char* key : {"eagre", "fastpath", "shards"}) {
+    SCOPED_TRACE(key);
+    serve::Request request;
+    request.id = key;
+    request.params = fixture.base_params;
+    request.params[key] = "1";
+    const auto r = service.run(request);
+    EXPECT_EQ(r.status, serve::Response::Status::badrequest);
+    EXPECT_NE(r.error.find(std::string("unknown key '") + key + "'"),
+              std::string::npos)
+        << r.error;
+  }
+  EXPECT_EQ(service.stats().replays, 0u);
+}
+
+TEST(ReplayServiceTest, RejectedLinesCountInStats) {
+  ServiceFixture fixture;
+  serve::ReplayService service(fixture.options());
+  const auto r = service.reject("not JSON");
+  EXPECT_EQ(r.status, serve::Response::Status::badrequest);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.received, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.badrequests, 1u);
 }
 
 TEST(ReplayServiceTest, OverloadShedsWithDistinctStatus) {

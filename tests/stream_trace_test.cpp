@@ -155,10 +155,11 @@ class StreamTraceTest : public ::testing::Test {
     return spec;
   }
 
-  // Replays the files under both decode policies and a given engine mode;
-  // the streamed report must be bit-identical to the materialised one.
+  // Replays the files under both decode policies on the default or the
+  // reference engine; the streamed report must be bit-identical to the
+  // materialised one.
   void expect_replay_identical(const std::vector<fs::path>& files,
-                               bool fast_path, int shards,
+                               bool reference_engine,
                                std::vector<replay::FaultSpec> faults = {}) {
     ReplayReport reports[2];
     const DecodePolicy policies[2] = {DecodePolicy::materialise,
@@ -169,8 +170,7 @@ class StreamTraceTest : public ::testing::Test {
           files, trace::DecodeMode::strict, policies[i]);
       EXPECT_EQ(spec.traces.streaming(), i == 1);
       spec.faults = faults;
-      spec.config.fast_path = fast_path;
-      spec.config.shards = shards;
+      spec.config.reference_engine = reference_engine;
       spec.config.record_timed_trace = true;
       reports[i] = run_scenario_report(spec);
     }
@@ -292,7 +292,7 @@ TEST_F(StreamTraceTest, MergedCompactFallsBackToMaterialise) {
 }
 
 // ---------------------------------------------------------------------------
-// Replay identity across engine modes and fault timelines.
+// Replay identity on both engines and under fault timelines.
 // ---------------------------------------------------------------------------
 
 TEST_F(StreamTraceTest, ReplayIdenticalSequentialEveryCodec) {
@@ -300,15 +300,13 @@ TEST_F(StreamTraceTest, ReplayIdenticalSequentialEveryCodec) {
   for (const char* codec : {"text", "binary", "compact"}) {
     SCOPED_TRACE(codec);
     expect_replay_identical(write_files(program, codec),
-                            /*fast_path=*/false, /*shards=*/1);
+                            /*reference_engine=*/true);
   }
 }
 
-TEST_F(StreamTraceTest, ReplayIdenticalFastPathAndShards) {
+TEST_F(StreamTraceTest, ReplayIdenticalDefaultEngine) {
   const auto files = write_files(mixed_actions(8, 3), "compact");
-  expect_replay_identical(files, /*fast_path=*/true, /*shards=*/1);
-  expect_replay_identical(files, /*fast_path=*/false, /*shards=*/4);
-  expect_replay_identical(files, /*fast_path=*/true, /*shards=*/4);
+  expect_replay_identical(files, /*reference_engine=*/false);
 }
 
 TEST_F(StreamTraceTest, ReplayIdenticalUnderFaultTimeline) {
@@ -324,8 +322,7 @@ TEST_F(StreamTraceTest, ReplayIdenticalUnderFaultTimeline) {
   link.bandwidth_factor = 0.2;
   link.at_time = 0.002;
   link.until_time = 0.004;
-  expect_replay_identical(files, /*fast_path=*/true, /*shards=*/2,
-                          {host, link});
+  expect_replay_identical(files, /*reference_engine=*/false, {host, link});
 }
 
 TEST_F(StreamTraceTest, NpbSkeletonTracesStreamIdentically) {
@@ -365,7 +362,7 @@ TEST_F(StreamTraceTest, NpbSkeletonTracesStreamIdentically) {
     SCOPED_TRACE(kernel.label);
     const auto files = acquire_npb(dir_, std::move(kernel.app), kernel.label);
     ASSERT_EQ(files.size(), 4u);
-    expect_replay_identical(files, /*fast_path=*/true, /*shards=*/2);
+    expect_replay_identical(files, /*reference_engine=*/false);
 
     const auto mat = trace::TraceSet::per_process_files(
         files, trace::DecodeMode::strict, DecodePolicy::materialise);
@@ -399,7 +396,7 @@ TEST_F(StreamTraceTest, SyntheticCompactStreamsWithoutMaterialising) {
       files, trace::DecodeMode::strict, DecodePolicy::materialise);
   for (int p = 0; p < 4; ++p) EXPECT_EQ(drain(mat, p), drain(str, p));
   EXPECT_EQ(trace::digest(mat), trace::digest(str));
-  expect_replay_identical(files, /*fast_path=*/true, /*shards=*/1);
+  expect_replay_identical(files, /*reference_engine=*/false);
 }
 
 TEST_F(StreamTraceTest, AutomaticPolicySizesTheDecodePath) {

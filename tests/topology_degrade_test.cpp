@@ -129,7 +129,7 @@ TEST(TopologyDegrade, FaultedGraphReplayMatchesFullSolveBitForBit) {
   spec.faults.push_back(link_fault("dfly-g0r0-dfly-g1r1", 0.1, 2.0, 0.05));
 
   auto reference = spec;
-  reference.config.full_solve = true;
+  reference.config.reference_engine = true;
 
   const double incremental = run_scenario(spec).simulated_time;
   const double full = run_scenario(reference).simulated_time;

@@ -29,13 +29,14 @@
 //                          process), min, max (factor clamps)
 //   mc=N                   Monte-Carlo replica count for this row
 //   seed=S                 sweep seed (default 1); replicas derive from it
-//   fastpath=on|off        coroutine fast path (bit-identical results)
-//   shards=N               solver shard threads, [1, 512] (bit-identical)
 //   decode=stream|materialise|auto
 //                          trace decode path: stream replays through a
 //                          bounded-memory offset index, materialise decodes
 //                          fully, auto (default) streams only large traces
 //                          (bit-identical results; memo keys ignore it)
+//
+// Any other key fails the list at parse time, naming the scenario and the
+// key: a misspelt `eagre=` must not silently replay the default.
 //
 // The parsing/building machinery lives in src/serve/scenario_build.* so a
 // daemon request and a sweep-list row construct scenarios through exactly

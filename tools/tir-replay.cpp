@@ -4,6 +4,9 @@
 //   tir-replay --platform platform.xml --deployment deployment.xml ...
 //              trace0 trace1 ... [options]
 //
+// A trace argument may be a directory, standing for its SG_process<i>.trace
+// files in pid order (trace::expand_trace_paths).
+//
 // --platform also accepts a topology-registry spec instead of a file, e.g.
 // "dragonfly:groups=9,routers=4,hosts=2" or "fattree:k=8" (see
 // src/platform/topology.hpp); --deployment accepts "block" / "roundrobin"
@@ -16,12 +19,6 @@
 //   --profile                 print a per-action profile
 //   --efficiency X            compute-rate scale (default 1.0)
 //   --stats                   print engine counters (solver work, events)
-//   --full-solve              disable the incremental network solver
-//                             (reference path for differential testing)
-//   --fast-path               run deterministic action chains inline without
-//                             coroutine switches (bit-identical results)
-//   --shards N                solve disconnected network components on N OS
-//                             threads (bit-identical results; default 1)
 //   --decode stream|materialise|auto
 //                             trace decode path: "stream" replays through a
 //                             bounded-memory offset index without loading
@@ -48,7 +45,7 @@ namespace {
                "--deployment FILE|block|roundrobin TRACE...|TRACEDIR \n"
                "  [--eager-threshold BYTES] [--collectives flat|binomial]\n"
                "  [--timed-trace FILE] [--profile] [--efficiency X]\n"
-               "  [--stats] [--full-solve] [--fast-path] [--shards N]\n"
+               "  [--stats]\n"
                "  [--decode stream|materialise|auto]\n",
                argv0);
   std::exit(2);
@@ -104,17 +101,6 @@ int run(int argc, char** argv) {
       config.compute_efficiency = parse_double_flag("--efficiency", next());
     } else if (arg == "--stats") {
       want_stats = true;
-    } else if (arg == "--full-solve") {
-      config.full_solve = true;
-    } else if (arg == "--fast-path") {
-      config.fast_path = true;
-    } else if (arg == "--shards") {
-      const std::string text = next();
-      const double value = parse_double_flag("--shards", text);
-      if (value < 1 || value > 512 || value != static_cast<int>(value))
-        throw ParseError("invalid value '" + text +
-                         "' for --shards (integer in [1, 512])");
-      config.shards = static_cast<int>(value);
     } else if (arg == "--decode") {
       decode = trace::parse_decode_policy(next());
     } else if (arg == "--help" || arg == "-h") {
@@ -131,7 +117,8 @@ int run(int argc, char** argv) {
 
   const auto result = replay::replay_files(platform_file, deployment_file,
                                            traces, config, decode);
-  std::printf("processes:        %zu\n", traces.size());
+  std::printf("processes:        %zu\n",
+              result.process_finish_times.size());
   std::printf("actions replayed: %llu\n",
               static_cast<unsigned long long>(result.actions_replayed));
   std::printf("simulated time:   %.6f s\n", result.simulated_time);
@@ -157,8 +144,6 @@ int run(int argc, char** argv) {
     std::printf("  flows re-rated:         %llu\n", u64(st.flows_rerated));
     std::printf("  fast-path inline:       %llu\n", u64(st.fast_path_inline));
     std::printf("  fast-path ready:        %llu\n", u64(st.fast_path_ready));
-    std::printf("  parallel solver fills:  %llu\n",
-                u64(st.solver_parallel_fills));
   }
   if (want_profile) {
     const auto profile = replay::Profile::from_timed_trace(result.timed_trace);

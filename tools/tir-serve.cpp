@@ -7,10 +7,11 @@
 // Protocol: newline-delimited JSON, one request per line, one response
 // line per request, in completion order (responses carry the request id).
 // A request is a JSON object whose "id" is echoed back and whose remaining
-// string/number/boolean fields are exactly the sweep-list vocabulary
-// (platform=, traces= or merged=, deployment=, eager=, collectives=,
-// efficiency=, fastpath=, shards=, fault=, perturb=, seed=) plus
-// replica=R to pick one Monte-Carlo replica of a perturbed scenario:
+// string/number fields are exactly the sweep-list vocabulary (name=,
+// platform=, traces= or merged=, deployment=, eager=, collectives=,
+// efficiency=, fault=, perturb=, seed=, decode=) plus replica=R to pick one
+// Monte-Carlo replica of a perturbed scenario. Any other field answers
+// badrequest naming it:
 //
 //   {"id":"r1","platform":"cluster:hosts=8","traces":"ti","deployment":"block"}
 //   {"id":"r2","platform":"cluster:hosts=8","traces":"ti","deployment":"block",
@@ -18,7 +19,9 @@
 //   {"cmd":"stats"}
 //
 // Control lines: {"cmd":"stats"} prints a stats snapshot, {"cmd":"quit"}
-// drains and exits. Responses:
+// drains and exits. A line that is not valid JSON or names an unknown cmd
+// answers badrequest and counts in stats like any other bad request.
+// Responses:
 //
 //   {"id":"r1","status":"ok","name":"...","sim_time":...,"coverage":...,
 //    "actions_replayed":...,"processes":...,"trace":"<digest>",
@@ -105,16 +108,13 @@ bool serve_line(serve::ReplayService& service, const std::string& line,
         emit(serve::render_stats(service.stats()));
         return true;
       }
-      emit("{\"status\":\"badrequest\",\"error\":\"unknown cmd '" +
-           serve::json_escape(cmd->string) + "'\"}");
+      emit(serve::render_response(
+          service.reject("unknown cmd '" + cmd->string + "'")));
       return true;
     }
     request = serve::parse_request_line(line);
   } catch (const std::exception& e) {
-    serve::Response response;
-    response.status = serve::Response::Status::badrequest;
-    response.error = e.what();
-    emit(serve::render_response(response));
+    emit(serve::render_response(service.reject(e.what())));
     return true;
   }
 

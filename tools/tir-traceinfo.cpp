@@ -1,7 +1,7 @@
 // tir-traceinfo — inspect / convert time-independent traces.
 //
 // Usage:
-//   tir-traceinfo TRACE...                  print aggregate statistics
+//   tir-traceinfo TRACE...|DIR              print aggregate statistics
 //   tir-traceinfo --to-binary IN OUT        convert text -> binary
 //   tir-traceinfo --to-text IN OUT          convert binary -> text
 //   tir-traceinfo --to-compact IN OUT       loop-compress a text trace
@@ -61,7 +61,8 @@ int run(int argc, char** argv) {
       }
       files.emplace_back(argv[i]);
     }
-    const auto set = trace::TraceSet::per_process_files(files);
+    const auto set =
+        trace::TraceSet::per_process_files(trace::expand_trace_paths(files));
     const auto stats = set.stats();
     std::printf("processes:      %d\n", set.nprocs());
     std::printf("on disk:        %s\n",

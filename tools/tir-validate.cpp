@@ -1,7 +1,8 @@
 // tir-validate — check time-independent traces before replaying them.
 //
 // Usage:
-//   tir-validate TRACE...                 one file per process
+//   tir-validate TRACE...                 one file per process, or a
+//                                         directory of SG_process<i>.trace
 //   tir-validate --merged N TRACE         one merged file, N processes
 //   tir-validate --lenient TRACE...       salvage corrupt files (keep each
 //                                         file's clean prefix) and report
@@ -87,7 +88,8 @@ int run(int argc, char** argv) {
       merged_nprocs > 0
           ? trace::TraceSet::merged_file(files.front(), merged_nprocs, mode,
                                          decode)
-          : trace::TraceSet::per_process_files(files, mode, decode);
+          : trace::TraceSet::per_process_files(
+                trace::expand_trace_paths(files), mode, decode);
 
   const trace::ValidateReport report = trace::validate(traces);
   const double decode_coverage = traces.coverage();
