@@ -38,6 +38,37 @@ void BM_MaxMinSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxMinSolve)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
+void BM_MaxMinCoupled(benchmark::State& state) {
+  // The shared-backbone case BM_MaxMinSolve never builds: N unit-weight
+  // flows, each over its own pair of private NICs (1.25e8) plus one
+  // backbone (1.25e9) that every flow crosses and that binds for N > 10.
+  // Each iteration retires one flow and starts its replacement, then
+  // solves; the backbone share moves, so every flow's rate changes.
+  const int n_vars = static_cast<int>(state.range(0));
+  sim::MaxMin lmm;
+  std::vector<sim::ResourceId> nics;
+  for (int i = 0; i < 2 * n_vars; ++i) nics.push_back(lmm.add_resource(1.25e8));
+  const sim::ResourceId backbone = lmm.add_resource(1.25e9);
+  const auto route = [&](std::size_t i) {
+    return std::vector<sim::ResourceId>{nics[2 * i], backbone, nics[2 * i + 1]};
+  };
+  std::vector<sim::VarId> vars;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(n_vars); ++i)
+    vars.push_back(lmm.add_variable(1.0, route(i)));
+  lmm.solve();
+  std::size_t toggle = 0;
+  for (auto _ : state) {
+    const std::size_t i = toggle % vars.size();
+    lmm.remove_variable(vars[i]);
+    vars[i] = lmm.add_variable(1.0, route(i));
+    lmm.solve();
+    ++toggle;
+    benchmark::DoNotOptimize(lmm.rate(vars[0]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MaxMinCoupled)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
+
 void BM_EngineTimers(benchmark::State& state) {
   // Pure event-loop throughput: a process sleeping in a tight loop.
   for (auto _ : state) {

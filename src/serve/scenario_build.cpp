@@ -26,12 +26,9 @@ int parse_int(const std::string& what, const std::string& s) {
 
 double parse_double(const std::string& what, const std::string& s) {
   try {
-    std::size_t used = 0;
-    const double v = std::stod(s, &used);
-    if (used != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    throw ParseError(what + ": expected a number, got '" + s + "'");
+    return str::to_double(s);  // rejects nan and inf
+  } catch (const ParseError&) {
+    throw ParseError(what + ": expected a finite number, got '" + s + "'");
   }
 }
 
@@ -308,8 +305,13 @@ SweepEntry build_scenario(const KeyValues& kv, InputResolver& resolver,
     spec.process_hosts =
         resolver.deployment(*deployment).resolve(*spec.platform);
 
-  if (const auto* eager = kv.find("eager"))
-    spec.config.mpi.eager_threshold = units::parse_bytes(*eager);
+  if (const auto* eager = kv.find("eager")) {
+    try {
+      spec.config.mpi.eager_threshold = units::parse_bytes(*eager);
+    } catch (const ParseError& e) {
+      throw ParseError("scenario '" + spec.name + "': eager: " + e.what());
+    }
+  }
   if (const auto* coll = kv.find("collectives")) {
     if (*coll == "flat")
       spec.config.mpi.collectives = mpi::CollectiveAlgo::flat;

@@ -33,7 +33,9 @@
 
 namespace tir::serve {
 
+// Number parsers for scenario keys and tool flags; errors name `what`.
 int parse_int(const std::string& what, const std::string& s);
+/// A finite number (nan and inf are rejected).
 double parse_double(const std::string& what, const std::string& s);
 std::uint64_t parse_u64(const std::string& what, const std::string& s);
 

@@ -51,21 +51,26 @@ class Activity : public std::enable_shared_from_this<Activity> {
 
 using ActivityPtr = std::shared_ptr<Activity>;
 
-/// State shared by the fluid (rate-controlled) phase of Exec and Transfer.
-/// Progress is tracked lazily: `remaining` is exact as of `last_update`,
-/// and the engine keeps the predicted finish in its indexed finish queue —
-/// one entry per running fluid, re-keyed in place when the rate changes,
-/// located through `heap_pos`.
+/// Progress of a running Exec. Tracked lazily: `remaining` is exact as of
+/// `last_update`, and the engine keeps the predicted finish in its indexed
+/// finish queue — one entry per running Exec, re-keyed in place when the
+/// rate changes, located through `heap_pos`.
 struct FluidState {
-  VarId var = -1;            ///< network-solver variable (flows only)
   double remaining = 0.0;    ///< work left as of last_update
   double rate = 0.0;         ///< current rate
   SimTime last_update = 0.0;
-  SimTime finish_est = 0.0;  ///< predicted completion (inf when starved)
   std::int32_t heap_pos = -1;  ///< slot in the finish queue (-1: not queued)
-  std::size_t index = 0;     ///< Execs: slot in the engine's per-host list.
-                             ///< Transfers are tracked by `var` instead
-                             ///< (the engine's VarId-indexed flow table).
+  std::size_t index = 0;     ///< slot in the engine's per-host Exec list
+};
+
+/// A Transfer's flow phase. Every flow belongs to one rate group of the
+/// engine (mirroring the network solver's groups); its progress lives in
+/// the group's virtual clock, not here.
+struct FlowState {
+  VarId var = -1;               ///< network-solver variable
+  std::int32_t group = -1;      ///< engine rate group (-1: not solved yet)
+  std::int32_t member_pos = -1; ///< slot in the group's member heap
+  std::uint64_t order = 0;      ///< start order: breaks finish-key ties
 };
 
 class Exec final : public Activity {
@@ -86,7 +91,7 @@ class Transfer final : public Activity {
   double latency = 0.0;    ///< effective route latency
   bool flowing = false;    ///< latency phase finished, flow phase running
   std::vector<ResourceId> link_resources;
-  FluidState fluid;
+  FlowState flow;
 };
 
 class Timer final : public Activity {

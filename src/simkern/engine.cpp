@@ -89,42 +89,46 @@ void Engine::catch_up(FluidState& fluid) {
   fluid.last_update = now_;
 }
 
-// Finish queue: indexed 4-ary min-heap over the running fluids.
+// Finish queue: indexed 4-ary min-heap over the running Execs and the rate
+// groups.
 //
-// Every fluid with a positive rate has exactly one entry, re-keyed in place
-// when a solve changes its rate (FluidState::heap_pos tracks the slot). The
-// lazy alternative — push a fresh entry per re-rate, drop stale ones as
-// they surface at the top — floods the queue at scale: on a shared
-// backbone every solve re-rates O(coupled flows), so stale entries come to
-// dominate the heap, deepening every sift and burning a pop each. Re-keying
-// keeps the heap at live size, and a rate change that barely moves the
-// finish estimate barely moves the entry. Pop order is the same strict
-// (time, seq) total order either way — stale entries never complete
-// anything — so simulated times are bit-identical.
+// Every Exec with a positive rate and every group with members and a
+// positive share has exactly one entry, re-keyed in place when its rate or
+// head member changes (FluidState::heap_pos / FlowGroup::heap_pos track the
+// slot). A group's entry is its head member's finish; the rest of its
+// members wait in the group's own heap, ordered by their rate-invariant
+// keys, so a share change on a shared backbone moves one entry instead of
+// one per flow. Pop order is the strict (time, seq, order) total order.
 bool Engine::finish_before(const FinishItem& a, const FinishItem& b) {
   if (a.time != b.time) return a.time < b.time;
-  return a.seq < b.seq;
+  if (a.seq != b.seq) return a.seq < b.seq;
+  return a.order < b.order;
+}
+
+std::int32_t& Engine::finish_slot(const FinishItem& item) {
+  return item.exec ? item.exec->fluid.heap_pos
+                   : groups_[static_cast<std::size_t>(item.group)].heap_pos;
 }
 
 void Engine::finish_place(FinishItem item, std::size_t i) {
-  item.fluid->heap_pos = static_cast<std::int32_t>(i);
-  finish_heap_[i] = std::move(item);
+  finish_slot(item) = static_cast<std::int32_t>(i);
+  finish_heap_[i] = item;
 }
 
 std::size_t Engine::finish_sift_up(std::size_t i) {
-  FinishItem item = std::move(finish_heap_[i]);
+  const FinishItem item = finish_heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
     if (!finish_before(item, finish_heap_[parent])) break;
-    finish_place(std::move(finish_heap_[parent]), i);
+    finish_place(finish_heap_[parent], i);
     i = parent;
   }
-  finish_place(std::move(item), i);
+  finish_place(item, i);
   return i;
 }
 
 std::size_t Engine::finish_sift_down(std::size_t i) {
-  FinishItem item = std::move(finish_heap_[i]);
+  const FinishItem item = finish_heap_[i];
   const std::size_t n = finish_heap_.size();
   for (;;) {
     std::size_t best = 4 * i + 1;
@@ -134,34 +138,32 @@ std::size_t Engine::finish_sift_down(std::size_t i) {
       if (finish_before(finish_heap_[c], finish_heap_[best])) best = c;
     }
     if (!finish_before(finish_heap_[best], item)) break;
-    finish_place(std::move(finish_heap_[best]), i);
+    finish_place(finish_heap_[best], i);
     i = best;
   }
-  finish_place(std::move(item), i);
+  finish_place(item, i);
   return i;
 }
 
-void Engine::finish_update(const ActivityPtr& activity, FluidState& fluid,
-                           SimTime time) {
-  if (fluid.heap_pos < 0) {
+void Engine::finish_update(FinishItem item) {
+  const std::int32_t slot = finish_slot(item);
+  if (slot < 0) {
     const std::size_t i = finish_heap_.size();
-    finish_heap_.push_back(FinishItem{time, seq_++, activity, &fluid});
-    fluid.heap_pos = static_cast<std::int32_t>(i);
+    finish_heap_.push_back(item);
     finish_sift_up(i);
   } else {
-    const auto i = static_cast<std::size_t>(fluid.heap_pos);
-    finish_heap_[i].time = time;
-    finish_heap_[i].seq = seq_++;
+    const auto i = static_cast<std::size_t>(slot);
+    finish_heap_[i] = item;
     finish_sift_down(finish_sift_up(i));
   }
 }
 
-void Engine::finish_remove(FluidState& fluid) {
-  if (fluid.heap_pos < 0) return;
-  const auto i = static_cast<std::size_t>(fluid.heap_pos);
-  fluid.heap_pos = -1;
+void Engine::finish_remove(std::int32_t& slot) {
+  if (slot < 0) return;
+  const auto i = static_cast<std::size_t>(slot);
+  slot = -1;
   if (i + 1 != finish_heap_.size()) {
-    finish_place(std::move(finish_heap_.back()), i);
+    finish_place(finish_heap_.back(), i);
     finish_heap_.pop_back();
     finish_sift_down(finish_sift_up(i));
   } else {
@@ -170,9 +172,9 @@ void Engine::finish_remove(FluidState& fluid) {
 }
 
 void Engine::finish_pop() {
-  finish_heap_.front().fluid->heap_pos = -1;
+  finish_slot(finish_heap_.front()) = -1;
   if (finish_heap_.size() > 1) {
-    finish_place(std::move(finish_heap_.back()), 0);
+    finish_place(finish_heap_.back(), 0);
     finish_heap_.pop_back();
     finish_sift_down(0);
   } else {
@@ -180,16 +182,15 @@ void Engine::finish_pop() {
   }
 }
 
-void Engine::set_rate(const ActivityPtr& activity, FluidState& fluid,
-                      double rate) {
+void Engine::set_rate(Exec& exec, double rate) {
+  FluidState& fluid = exec.fluid;
   catch_up(fluid);
   fluid.rate = rate;
   if (rate > 0) {
-    fluid.finish_est = now_ + fluid.remaining / rate;
-    finish_update(activity, fluid, fluid.finish_est);
+    finish_update(
+        FinishItem{now_ + fluid.remaining / rate, seq_++, 0, &exec, -1});
   } else {
-    fluid.finish_est = kInf;  // starved: no completion until a rate change
-    finish_remove(fluid);
+    finish_remove(fluid.heap_pos);  // starved: no completion until a change
   }
 }
 
@@ -200,31 +201,207 @@ void Engine::reschedule_host(int host) {
                       host_power_factor_[static_cast<std::size_t>(host)] /
                       static_cast<double>(execs.size());
   for (const auto& exec : execs) {
-    if (exec->fluid.rate != rate) set_rate(exec, exec->fluid, rate);
+    if (exec->fluid.rate != rate) set_rate(*exec, rate);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Rate groups.
+// ---------------------------------------------------------------------------
+
+namespace {
+/// Whether a rate change is worth re-queueing a finish for.
+bool meaningful(double rate, double old) {
+  return rate != old &&
+         (old <= 0 || std::abs(rate - old) > 1e-12 * std::max(rate, old));
+}
+}  // namespace
+
+double Engine::clock_at(const FlowGroup& group, SimTime t) {
+  if (group.share > 0 && t > group.last_update)
+    return group.clock + group.share * (t - group.last_update);
+  return group.clock;
+}
+
+void Engine::advance(FlowGroup& group) {
+  group.clock = clock_at(group, now_);
+  group.last_update = now_;
+  if (group.members.size() == 1) {
+    // Fold the clock into the lone key: remaining = max(0, remaining -
+    // share · dt), the per-flow update, so groups of one round like it.
+    FlowMember& only = group.members.front();
+    only.key = std::max(0.0, only.key - group.clock);
+    group.clock = 0.0;
+  }
+}
+
+// A group's members: a binary min-heap on (key, rate_seq, order),
+// positions mirrored in FlowState::member_pos.
+void Engine::member_move(FlowGroup& group, std::size_t i, bool up) {
+  const FlowMember item = group.members[i];
+  const auto before = [&group](const FlowMember& a, const FlowMember& b) {
+    if (a.key != b.key) return a.key < b.key;
+    const std::uint64_t sa = group.rate_seq(a), sb = group.rate_seq(b);
+    if (sa != sb) return sa < sb;
+    return a.order < b.order;
+  };
+  const auto place = [&group](std::size_t at, const FlowMember& m) {
+    group.members[at] = m;
+    m.flow->flow.member_pos = static_cast<std::int32_t>(at);
+  };
+  while (up && i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!before(item, group.members[parent])) break;
+    place(i, group.members[parent]);
+    i = parent;
+  }
+  const std::size_t n = group.members.size();
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && before(group.members[child + 1], group.members[child]))
+      ++child;
+    if (!before(group.members[child], item)) break;
+    place(i, group.members[child]);
+    i = child;
+  }
+  place(i, item);
+}
+
+void Engine::member_push(FlowGroup& group, FlowMember member) {
+  group.members.push_back(member);
+  member_move(group, group.members.size() - 1);
+}
+
+void Engine::member_erase(FlowGroup& group, std::size_t i) {
+  group.members[i].flow->flow.member_pos = -1;
+  const FlowMember last = group.members.back();
+  group.members.pop_back();
+  if (i == group.members.size()) return;
+  group.members[i] = last;
+  member_move(group, i);
+}
+
+Engine::FlowGroup& Engine::begin_change(std::int32_t g) {
+  FlowGroup& group = groups_[static_cast<std::size_t>(g)];
+  if (group.epoch != resolve_epoch_) {
+    group.epoch = resolve_epoch_;
+    group.prev_share = group.share;
+    group.prev_share_seq = group.share_seq;
+    group.prev_share_gen = group.share_gen;
+    touched_groups_.push_back(g);
+  }
+  return group;
+}
+
+void Engine::apply_share(std::int32_t g, double share) {
+  if (!meaningful(share, groups_[static_cast<std::size_t>(g)].share)) return;
+  FlowGroup& group = begin_change(g);
+  advance(group);
+  group.share = share;
+  group.reshare = true;
+  if (group.members.empty()) return;
+  // Every member present now changes rate (later joins carry their own
+  // seq): their seqs tie, leaving start order to break equal keys.
+  group.share_seq = seq_++;
+  ++group.share_gen;
+  if (group.reorder) {
+    group.reorder = false;
+    for (std::size_t i = group.members.size() / 2; i-- > 0;)
+      member_move(group, i, /*up=*/false);
+  }
+}
+
+void Engine::move_flow(Transfer& transfer, std::int32_t g) {
+  // Remaining amount, rate and rate-change seq before this resolve (a new
+  // flow has made no progress and had no rate).
+  double remaining = transfer.amount;
+  double old_rate = 0.0;
+  std::uint64_t old_seq = 0;
+  if (transfer.flow.group >= 0) {
+    FlowGroup& old = begin_change(transfer.flow.group);
+    advance(old);
+    const auto pos = static_cast<std::size_t>(transfer.flow.member_pos);
+    const FlowMember& member = old.members[pos];
+    remaining = std::max(0.0, member.key - old.clock);
+    old_rate = old.prev_share;
+    old_seq = member.gen == old.prev_share_gen ? member.seq
+                                               : old.prev_share_seq;
+    member_erase(old, pos);
+  }
+  FlowGroup& group = begin_change(g);
+  advance(group);
+  // A flow whose rate does not move keeps its seq, like a flow a per-flow
+  // re-rating would have left alone.
+  const bool rerated = meaningful(group.share, old_rate);
+  const std::uint64_t order = transfer.flow.order;
+  if (!rerated || order < group.max_order) group.reorder = true;
+  group.max_order = std::max(group.max_order, order);
+  member_push(group, FlowMember{group.clock + remaining,
+                                rerated ? seq_++ : old_seq, group.share_gen,
+                                order, &transfer});
+  transfer.flow.group = g;
+}
+
+bool Engine::rekey_group(std::int32_t g) {
+  FlowGroup& group = groups_[static_cast<std::size_t>(g)];
+  const bool reshare = group.reshare;
+  group.reshare = false;
+  if (group.members.empty()) {
+    const bool queued = group.heap_pos >= 0;
+    finish_remove(group.heap_pos);
+    group.entry = nullptr;
+    group.share = 0.0;  // a recycled id starts from scratch
+    group.clock = 0.0;
+    group.share_seq = 0;
+    group.max_order = 0;
+    group.reorder = false;
+    return queued;
+  }
+  if (group.share <= 0) {
+    const bool queued = group.heap_pos >= 0;
+    finish_remove(group.heap_pos);  // starved until a share change
+    group.entry = nullptr;
+    return queued;
+  }
+  const FlowMember& head = group.members.front();
+  // An unchanged head at an unchanged share finishes when its entry says:
+  // recomputing would only add rounding.
+  if (group.heap_pos >= 0 && group.entry == head.flow && !reshare)
+    return false;
+  group.entry = head.flow;
+  finish_update(FinishItem{now_ + (head.key - group.clock) / group.share,
+                           group.rate_seq(head), head.order, nullptr, g});
+  return true;
 }
 
 void Engine::resolve_network() {
   if (!net_lmm_.dirty()) return;
-  const auto changed = net_lmm_.solve_changed();
+  const auto changes = net_lmm_.solve_groups();
   ++stats_.solver_calls;
   const auto& solver = net_lmm_.solve_stats();
   stats_.solver_vars_touched = solver.vars_touched;
+  stats_.solver_group_updates = solver.group_updates;
   stats_.solver_component_size_max =
       std::max<std::uint64_t>(stats_.solver_component_size_max,
                               solver.max_component_vars);
-  for (const VarId var : changed) {
-    const auto& transfer = var_flows_[static_cast<std::size_t>(var)];
-    if (!transfer) continue;
-    const double rate = net_lmm_.rate(var);
-    const double old = transfer->fluid.rate;
-    // Requeue only on a meaningful change to keep the heap lean.
-    if (rate != old &&
-        (old <= 0 || std::abs(rate - old) > 1e-12 * std::max(rate, old))) {
-      set_rate(transfer, transfer->fluid, rate);
-      ++stats_.flows_rerated;
+  if (changes.empty()) return;
+  if (groups_.size() < net_lmm_.group_count())
+    groups_.resize(net_lmm_.group_count());
+  ++resolve_epoch_;
+  // Report order is component order, so rate-change seqs are handed out in
+  // the order a per-flow re-rating would have used.
+  for (const auto& change : changes) {
+    apply_share(change.group, change.share);
+    if (change.var >= 0) {
+      const auto& transfer = var_flows_[static_cast<std::size_t>(change.var)];
+      if (transfer) move_flow(*transfer, change.group);
     }
   }
+  for (const std::int32_t g : touched_groups_) {
+    if (rekey_group(g)) ++stats_.flows_rerated;
+  }
+  touched_groups_.clear();
 }
 
 std::shared_ptr<Exec> Engine::exec_async(int host, double flops,
@@ -412,10 +589,9 @@ void Engine::start_flow(Transfer& transfer) {
     complete(transfer);
     return;
   }
-  transfer.fluid.remaining = transfer.amount;
-  transfer.fluid.last_update = now_;
-  transfer.fluid.var = net_lmm_.add_variable(1.0, transfer.link_resources);
-  const auto slot = static_cast<std::size_t>(transfer.fluid.var);
+  transfer.flow.order = flow_order_++;
+  transfer.flow.var = net_lmm_.add_variable(1.0, transfer.link_resources);
+  const auto slot = static_cast<std::size_t>(transfer.flow.var);
   if (slot >= var_flows_.size()) var_flows_.resize(slot + 1);
   var_flows_[slot] =
       std::static_pointer_cast<Transfer>(transfer.shared_from_this());
@@ -441,7 +617,7 @@ void Engine::complete(Activity& activity) {
   switch (activity.kind()) {
     case Activity::Kind::exec: {
       auto& exec = static_cast<Exec&>(activity);
-      finish_remove(exec.fluid);
+      finish_remove(exec.fluid.heap_pos);
       auto& execs = host_execs_[static_cast<std::size_t>(exec.host)];
       if (exec.fluid.index < execs.size() &&
           execs[exec.fluid.index].get() == &exec) {
@@ -454,11 +630,17 @@ void Engine::complete(Activity& activity) {
     }
     case Activity::Kind::transfer: {
       auto& transfer = static_cast<Transfer&>(activity);
-      finish_remove(transfer.fluid);
-      if (transfer.fluid.var >= 0) {
-        net_lmm_.remove_variable(transfer.fluid.var);
-        var_flows_[static_cast<std::size_t>(transfer.fluid.var)].reset();
-        transfer.fluid.var = -1;
+      if (const std::int32_t g = transfer.flow.group; g >= 0) {
+        FlowGroup& group = groups_[static_cast<std::size_t>(g)];
+        advance(group);
+        member_erase(group, static_cast<std::size_t>(transfer.flow.member_pos));
+        transfer.flow.group = -1;
+        rekey_group(g);
+      }
+      if (transfer.flow.var >= 0) {
+        net_lmm_.remove_variable(transfer.flow.var);
+        var_flows_[static_cast<std::size_t>(transfer.flow.var)].reset();
+        transfer.flow.var = -1;
       }
       break;
     }
@@ -479,33 +661,46 @@ bool Engine::try_fast_complete(Activity& activity) {
   if (!config_.fast_path || !running_ || first_error_ || !ready_.empty())
     return false;
   if (!activity.waiters_.empty()) return false;
-  FluidState* fluid = nullptr;
-  if (activity.kind() == Activity::Kind::exec) {
-    fluid = &static_cast<Exec&>(activity).fluid;
-  } else if (activity.kind() == Activity::Kind::transfer) {
-    auto& transfer = static_cast<Transfer&>(activity);
-    if (!transfer.flowing) return false;  // still in its latency phase
-    fluid = &transfer.fluid;
-  } else {
+  const auto kind = activity.kind();
+  if (kind != Activity::Kind::exec && kind != Activity::Kind::transfer)
     return false;
-  }
+  if (kind == Activity::Kind::transfer &&
+      !static_cast<Transfer&>(activity).flowing)
+    return false;  // still in its latency phase
 
   // Mirror one iteration of run()'s loop: catch the solver up on this
-  // coroutine's mutations, then require this fluid's completion to be the
-  // next event — and the only one inside its epsilon window.
+  // coroutine's mutations, then require this activity's completion to be
+  // the next event — and the only one inside its epsilon window.
   resolve_network();
   if (finish_heap_.empty()) return false;
-  if (finish_heap_.front().fluid != fluid) return false;
-  const SimTime t = finish_heap_.front().time;
+  const FinishItem& front = finish_heap_.front();
+  const FlowGroup* group = nullptr;
+  if (kind == Activity::Kind::exec) {
+    if (front.exec != &activity) return false;
+  } else {
+    if (front.exec) return false;
+    group = &groups_[static_cast<std::size_t>(front.group)];
+    if (group->members.front().flow != &activity) return false;
+  }
+  const SimTime t = front.time;
   const double time_eps = 1e-9 * (1.0 + std::abs(t));
   if (!heap_.empty() && heap_.top().time <= t + time_eps) return false;
   // The runner-up finish is the earliest of the root's (up to four)
-  // children — every deeper entry sorts at or after one of them. If it
-  // lands inside the epsilon window the sequential loop would
+  // children — every deeper entry sorts at or after one of them — or, for
+  // a group, its second member, whose entry the completion queues next. If
+  // either lands inside the epsilon window the sequential loop would
   // batch-complete both; bail without touching the heap.
   const std::size_t second = std::min<std::size_t>(5, finish_heap_.size());
   for (std::size_t c = 1; c < second; ++c) {
     if (finish_heap_[c].time <= t + time_eps) return false;
+  }
+  if (group && group->members.size() > 1) {
+    // The same arithmetic complete() and rekey_group() apply at time t.
+    const auto& m = group->members;
+    const double key =
+        m.size() > 2 ? std::min(m[1].key, m[2].key) : m[1].key;
+    if (t + (key - clock_at(*group, t)) / group->share <= t + time_eps)
+      return false;
   }
   if (activity.kind() == Activity::Kind::exec) {
     // Completing an Exec speeds up its host siblings; if one would then
@@ -565,8 +760,15 @@ void Engine::run() {
     const double time_eps = 1e-9 * (1.0 + std::abs(now_));
     for (;;) {
       if (finish_heap_.empty()) break;
-      if (finish_heap_.front().time > now_ + time_eps) break;
-      const ActivityPtr activity = std::move(finish_heap_.front().activity);
+      const FinishItem& front = finish_heap_.front();
+      if (front.time > now_ + time_eps) break;
+      // Hold the activity: completing it drops the engine's own reference.
+      const ActivityPtr activity =
+          front.exec ? front.exec->shared_from_this()
+                     : ActivityPtr(var_flows_[static_cast<std::size_t>(
+                           groups_[static_cast<std::size_t>(front.group)]
+                               .members.front()
+                               .flow->flow.var)]);
       finish_pop();
       complete(*activity);
     }

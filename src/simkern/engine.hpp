@@ -13,12 +13,20 @@
 //     O(all-activities)).
 //   - Network flows go through the incremental max-min solver: a change
 //     re-solves only the connected component(s) of the constraint graph it
-//     touched, and only flows whose solved rate actually moved are re-rated
-//     (O(changed), not O(live flows)).
-//   - Fluid progress is tracked lazily: each fluid stores its remaining
-//     work as of `last_update` and a predicted finish time kept in a
-//     priority queue (stale entries are skipped by generation counters).
-//     Advancing simulated time is O(1) instead of O(active fluids).
+//     touched, and a flow joining or leaving a single-bottleneck component
+//     is absorbed without a fill at all.
+//   - Flows live in rate groups mirroring the solver's: the members of one
+//     group all run at the group's share. A group tracks progress with one
+//     virtual clock V(t) = ∫ share dt (the virtual-time technique of
+//     GPS/WFQ); a member finishes when V reaches its key, mark + amount,
+//     where mark is V when it joined. The key does not change when the
+//     share does, so a share change re-keys one finish-queue entry per
+//     group (its head member), not one per flow: O(changed groups), not
+//     O(live flows). Groups of one keep the plain per-flow arithmetic.
+//   - Fluid progress is tracked lazily: an Exec stores its remaining work
+//     as of `last_update`, a group its clock; the predicted finishes sit in
+//     an indexed priority queue. Advancing simulated time is O(1) instead
+//     of O(active fluids).
 #pragma once
 
 #include <cstdint>
@@ -74,10 +82,11 @@ struct EngineConfig {
   /// When true (default), run() throws SimError if processes remain blocked
   /// with no pending event (deadlock). When false, run() returns normally.
   bool deadlock_is_error = true;
-  /// Test oracle: when true, the network max-min solver re-solves the
-  /// whole system on every change instead of only the modified connected
-  /// components — the reference for differential testing of the
-  /// incremental solver.
+  /// Test oracle: when true, the network max-min solver refills the whole
+  /// system on every change instead of only the modified connected
+  /// components, and never takes the incremental single-bottleneck update
+  /// — the reference for differential testing of the incremental solver.
+  /// Flow accounting (rate groups) is the same either way.
   bool full_solve = false;
   /// Coroutine fast path (the production schedule): when the awaited
   /// fluid's completion is provably the sole event in the next epsilon
@@ -103,9 +112,17 @@ struct EngineStats {
   std::uint64_t solver_calls = 0;   ///< network max-min re-solves
   std::uint64_t heap_events = 0;    ///< timed events dispatched
   // Solver work: how much of the network system each re-solve touched.
-  std::uint64_t solver_vars_touched = 0;  ///< component vars re-solved (sum)
-  std::uint64_t solver_component_size_max = 0;  ///< largest single re-solve
-  std::uint64_t flows_rerated = 0;  ///< transfers whose rate was requeued
+  /// Variables the solver visited (sum): every variable of a filled
+  /// component, plus one per flow join or leave absorbed by an incremental
+  /// single-bottleneck update.
+  std::uint64_t solver_vars_touched = 0;
+  std::uint64_t solver_component_size_max = 0;  ///< most vars in one solve
+  /// Solves of a single-bottleneck group answered by the incremental
+  /// update instead of a fill.
+  std::uint64_t solver_group_updates = 0;
+  /// Finish-queue re-keys caused by solves: one per rate group whose entry
+  /// a solve moved, queued or dropped (a group of any size counts once).
+  std::uint64_t flows_rerated = 0;
   // Coroutine switches avoided by the fast path; exactly zero when
   // EngineConfig::fast_path is off.
   std::uint64_t fast_path_inline = 0;  ///< fluid completions run at the await
@@ -277,34 +294,102 @@ class Engine {
     }
   };
 
-  // Finish-time queue entry for fluids. Every running fluid (rate > 0,
-  // activity not done) has exactly one entry, re-keyed in place on rate
-  // changes through FluidState::heap_pos. The entry holds a strong
-  // reference so a scheduled activity outlives its owner dropping it.
+  // Finish-time queue entry: a running Exec (rate > 0) or a rate group
+  // with members and a positive share — exactly one entry each, re-keyed in
+  // place through FluidState::heap_pos / FlowGroup::heap_pos. Execs are
+  // kept alive by host_execs_, group members by var_flows_. Ties on time
+  // break on `seq`, the order in which the entry's activity last changed
+  // rate, then on the flow's start order.
   struct FinishItem {
     SimTime time;
     std::uint64_t seq;
-    ActivityPtr activity;
-    FluidState* fluid;  // points into *activity
+    std::uint64_t order;  // head flow's start order (0 for Execs)
+    Exec* exec;           // the Exec, or null for a group entry
+    std::int32_t group;   // the group (exec == null)
   };
 
+  // A member of a rate group: it completes when the group clock reaches
+  // `key`. Its rate last changed when it joined (`seq`, handed out at share
+  // generation `gen`) or at the group's latest share change, whichever
+  // came later (FlowGroup::rate_seq).
+  struct FlowMember {
+    double key;
+    std::uint64_t seq;
+    std::uint64_t gen;
+    std::uint64_t order;  // start order
+    Transfer* flow;
+  };
+  // A rate group (same id as the solver's). Every member runs at `share`;
+  // `clock` is the group's cumulative service V as of `last_update`, and a
+  // member's remaining amount is key - V. With one member the clock is
+  // folded into the key on every advance, which is exactly the per-flow
+  // `remaining -= rate · dt` update. Members order on (key, rate_seq,
+  // order): equal finishes complete in the order their rates last changed,
+  // as they would with one queue entry per flow.
+  struct FlowGroup {
+    double share = 0.0;
+    double clock = 0.0;
+    SimTime last_update = 0.0;
+    std::vector<FlowMember> members;  // binary min-heap, see above
+    std::int32_t heap_pos = -1;       // finish-queue slot of the head member
+    bool reshare = false;             // share changed since the last re-key
+    /// A member joined out of start order or with an older seq, so the next
+    /// share change (which ties every member's seq) must reorder the heap.
+    bool reorder = false;
+    const Transfer* entry = nullptr;  // the member the queued entry times
+    std::uint64_t share_seq = 0;  // seq of the last share change
+    std::uint64_t share_gen = 0;  // share changes so far
+    std::uint64_t max_order = 0;  // newest member's start order
+    // State before the current resolve touched the group.
+    std::uint64_t epoch = 0;
+    double prev_share = 0.0;
+    std::uint64_t prev_share_seq = 0;
+    std::uint64_t prev_share_gen = 0;
+
+    std::uint64_t rate_seq(const FlowMember& m) const {
+      return m.gen == share_gen ? m.seq : share_seq;
+    }
+  };
   const CachedRoute& cached_route(int src_host, int dst_host);
   void complete(Activity& activity);
   void start_flow(Transfer& transfer);
 
-  // Indexed 4-ary min-heap over the running fluids (see the comment block
-  // in engine.cpp). Pop order is the strict (time, seq) total order.
+  // Indexed 4-ary min-heap over the running Execs and rate groups (see the
+  // comment block in engine.cpp). Pop order is the strict (time, seq,
+  // order) total order.
   static bool finish_before(const FinishItem& a, const FinishItem& b);
+  std::int32_t& finish_slot(const FinishItem& item);
   void finish_place(FinishItem item, std::size_t i);
   std::size_t finish_sift_up(std::size_t i);
   std::size_t finish_sift_down(std::size_t i);
-  /// Inserts `fluid`'s entry or re-keys it in place to (time, fresh seq).
-  void finish_update(const ActivityPtr& activity, FluidState& fluid,
-                     SimTime time);
-  /// Drops `fluid`'s entry if queued (starvation, completion).
-  void finish_remove(FluidState& fluid);
+  /// Inserts the owner's entry or re-keys it in place to (time, fresh seq).
+  void finish_update(FinishItem item);
+  /// Drops the entry at `slot` if queued (starvation, completion).
+  void finish_remove(std::int32_t& slot);
   /// Removes the earliest entry.
   void finish_pop();
+
+  // Rate groups.
+  /// Brings a group's clock up to now at its current share.
+  void advance(FlowGroup& group);
+  /// The group clock at time `t` >= last_update, without advancing it.
+  static double clock_at(const FlowGroup& group, SimTime t);
+  /// Restores the member heap around slot i (sift up unless `up` is off,
+  /// then down).
+  void member_move(FlowGroup& group, std::size_t i, bool up = true);
+  void member_push(FlowGroup& group, FlowMember member);
+  void member_erase(FlowGroup& group, std::size_t i);
+  /// Snapshots a group's pre-resolve state and queues it for re-keying.
+  FlowGroup& begin_change(std::int32_t g);
+  /// Applies the solver's share for group `g` if it moved meaningfully.
+  void apply_share(std::int32_t g, double share);
+  /// Moves a flow into group `g`, carrying its remaining amount over.
+  void move_flow(Transfer& transfer, std::int32_t g);
+  /// Queues, moves or drops a group's finish entry after its share or
+  /// members changed (the group already advanced to now); a head member
+  /// that neither changed nor changed rate keeps its entry untouched.
+  /// Returns true when the entry changed.
+  bool rekey_group(std::int32_t g);
 
   /// The coroutine fast path (EngineConfig::fast_path): proves `activity`'s
   /// completion is the sole event inside the next epsilon window — no other
@@ -319,13 +404,15 @@ class Engine {
 
   /// Brings `fluid.remaining` up to date at the current time.
   void catch_up(FluidState& fluid);
-  /// Sets a fluid's rate (catching it up first) and requeues its finish.
-  void set_rate(const ActivityPtr& activity, FluidState& fluid, double rate);
+  /// Sets an Exec's rate (catching it up first) and requeues its finish.
+  void set_rate(Exec& exec, double rate);
 
   /// Equal-share rescheduling of one host's Execs.
   void reschedule_host(int host);
-  /// Incremental network max-min resolve; re-rates only the flows whose
-  /// solved rate changed (the solver's changed-variable set).
+  /// Incremental network max-min resolve: applies the solver's group
+  /// report (joins carry a flow's remaining amount into its new group; a
+  /// share change advances the group clock) and re-keys each changed group
+  /// once.
   void resolve_network();
 
   void drain_ready();
@@ -336,11 +423,16 @@ class Engine {
 
   // Network model state. The engine keeps flowing transfers alive through
   // var_flows_, a VarId-indexed side table (dense: the solver recycles ids)
-  // that lets resolve_network() re-rate exactly the flows the incremental
-  // solver reports as changed instead of rescanning every live flow.
+  // that maps the solver's reported joins back to their flows. groups_ is
+  // indexed by the solver's group ids (also recycled), so the steady state
+  // allocates nothing.
   MaxMin net_lmm_;
   std::vector<ResourceId> link_res_;   // link id -> network resource
   std::vector<std::shared_ptr<Transfer>> var_flows_;  // VarId -> flow
+  std::vector<FlowGroup> groups_;
+  std::vector<std::int32_t> touched_groups_;  // groups changed this resolve
+  std::uint64_t resolve_epoch_ = 0;
+  std::uint64_t flow_order_ = 0;
 
   // CPU scheduling state; active execs per host, kept alive by the engine.
   std::vector<std::vector<std::shared_ptr<Exec>>> host_execs_;
@@ -357,7 +449,7 @@ class Engine {
   SimTime now_ = 0.0;
   std::uint64_t seq_ = 0;
   std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap_;
-  std::vector<FinishItem> finish_heap_;  // indexed min-heap, one per fluid
+  std::vector<FinishItem> finish_heap_;  // one per running Exec and group
   std::deque<std::coroutine_handle<>> ready_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::size_t live_processes_ = 0;

@@ -33,12 +33,15 @@ constexpr std::array<Suffix, 10> kSuffixes{{
 }};
 
 // Parses the numeric prefix of `s`; returns the value and the index of the
-// first unconsumed character.
+// first unconsumed character. from_chars accepts "nan" and "inf"; no
+// quantity may be either.
 std::pair<double, std::size_t> parse_number_prefix(std::string_view s) {
   double value = 0.0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
   if (ec != std::errc{})
     throw ParseError("invalid quantity: '" + std::string(s) + "'");
+  if (!std::isfinite(value))
+    throw ParseError("non-finite quantity: '" + std::string(s) + "'");
   return {value, static_cast<std::size_t>(ptr - s.data())};
 }
 
@@ -58,7 +61,10 @@ double parse_value(std::string_view text) {
   if (!all_letters(rest) || rest.size() > 6)
     throw ParseError("invalid unit suffix in '" + std::string(text) + "'");
   for (const auto& suffix : kSuffixes) {
-    if (str::starts_with(rest, suffix.text)) return value * suffix.factor;
+    if (!str::starts_with(rest, suffix.text)) continue;
+    if (!std::isfinite(value * suffix.factor))
+      throw ParseError("quantity out of range: '" + std::string(text) + "'");
+    return value * suffix.factor;
   }
   // A bare unit letter with no scale ("64B", "10f", "bps") is also fine.
   return value;
@@ -79,6 +85,8 @@ double parse_duration(std::string_view text) {
 std::uint64_t parse_bytes(std::string_view text) {
   const double v = parse_value(text);
   if (v < 0) throw ParseError("negative byte count: '" + std::string(text) + "'");
+  if (v >= 0x1p63)  // beyond std::llround's range
+    throw ParseError("byte count out of range: '" + std::string(text) + "'");
   return static_cast<std::uint64_t>(std::llround(v));
 }
 

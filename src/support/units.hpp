@@ -14,7 +14,7 @@ namespace tir::units {
 /// Accepted suffixes (case-insensitive, optional trailing unit letter
 /// ignored, e.g. "f" for flops or "Bps"): k/M/G/T/P (powers of 1000) and
 /// Ki/Mi/Gi/Ti/Pi (powers of 1024). A bare number is returned unchanged.
-/// Throws tir::ParseError on malformed input.
+/// Throws tir::ParseError on malformed input and on nan/inf.
 double parse_value(std::string_view text);
 
 /// Parses a duration: bare seconds, or suffixed "ns"/"us"/"ms"/"s".

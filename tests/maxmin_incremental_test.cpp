@@ -146,6 +146,88 @@ TEST(MaxMinIncremental, RandomOpStreamMatchesFullSolveAndRebuild) {
     check_against_rebuild(inc, state);
     EXPECT_EQ(inc.active_variable_count(), state.live.size());
   }
+
+  // Coupled-backbone stream: integer weights over private NICs plus one
+  // shared backbone, so components are single-bottleneck groups that the
+  // incremental update answers, until the backbone or a NIC changes
+  // capacity or a heavy NIC takes over and the fill runs. Rates must match
+  // the full-solve twin bit for bit, and a fresh rebuild bit for bit
+  // whenever the rebuilt system is single-bottleneck too (otherwise its
+  // fill visits the components in another order and may round differently).
+  for (const std::uint64_t seed : {3ull, 77ull, 2024ull}) {
+    Rng rng(seed);
+    MaxMin inc;
+    MaxMin full;
+    full.set_full_solve(true);
+    SystemState state;
+    const int n_nics = 40;
+    for (int i = 0; i <= n_nics; ++i) {
+      const double cap = i == n_nics ? 1e8 : (i % 3 == 0 ? 5e7 : 1e8);
+      inc.add_resource(cap);
+      full.add_resource(cap);
+      state.capacities.push_back(cap);
+    }
+    const auto backbone = static_cast<ResourceId>(n_nics);
+    std::map<VarId, double> last_rates;
+    for (int step = 0; step < 600; ++step) {
+      const double dice = rng.next_double();
+      if (state.live.size() < 4 || dice < 0.5) {
+        const auto a = static_cast<ResourceId>(rng.next_below(n_nics));
+        const auto b = static_cast<ResourceId>(rng.next_below(n_nics));
+        const double weight = 1.0 + static_cast<double>(rng.next_below(3));
+        const std::vector<ResourceId> use{a, backbone, b};
+        const VarId x = inc.add_variable(weight, use);
+        ASSERT_EQ(x, full.add_variable(weight, use));
+        state.live[x] = {x, weight, MaxMin::kInf, use};
+      } else if (dice < 0.95) {
+        auto it = state.live.begin();
+        std::advance(it, static_cast<long>(rng.next_below(state.live.size())));
+        inc.remove_variable(it->first);
+        full.remove_variable(it->first);
+        last_rates.erase(it->first);
+        state.live.erase(it);
+      } else {
+        const auto r = static_cast<ResourceId>(rng.next_below(n_nics + 1));
+        const double cap = r == backbone ? rng.uniform(5e7, 5e8)
+                                         : (rng.next_double() < 0.5 ? 1e8 : 2e7);
+        inc.set_capacity(r, cap);
+        full.set_capacity(r, cap);
+        state.capacities[static_cast<std::size_t>(r)] = cap;
+      }
+
+      const auto changed = inc.solve_changed();
+      full.solve();
+      std::map<VarId, bool> reported;
+      for (const VarId v : changed) reported[v] = true;
+      for (const auto& [id, v] : state.live) {
+        EXPECT_EQ(inc.rate(id), full.rate(id)) << "step " << step;
+        const auto it = last_rates.find(id);
+        if (it != last_rates.end())
+          EXPECT_EQ(reported.count(id) > 0, inc.rate(id) != it->second)
+              << "var " << id << " step " << step;
+        last_rates[id] = inc.rate(id);
+      }
+      if (step % 25 == 24) {
+        MaxMin fresh;
+        for (const double c : state.capacities) fresh.add_resource(c);
+        std::map<VarId, VarId> to_fresh;
+        for (const auto& [id, v] : state.live)
+          to_fresh[id] = fresh.add_variable(v.weight, v.resources, v.bound);
+        fresh.solve();
+        for (const auto& [id, v] : state.live) {
+          const VarId f = to_fresh[id];
+          if (fresh.group_bottleneck(fresh.group_of(f)) >= 0)
+            EXPECT_EQ(inc.rate(id), fresh.rate(f)) << "step " << step;
+          else
+            expect_close(inc.rate(id), fresh.rate(f), "vs fresh rebuild");
+        }
+      }
+    }
+    // Both paths ran: incremental group updates and fills.
+    EXPECT_GT(inc.solve_stats().group_updates, 100u);
+    EXPECT_LT(inc.solve_stats().group_updates, inc.solve_stats().solves);
+    EXPECT_EQ(full.solve_stats().group_updates, 0u);
+  }
 }
 
 TEST(MaxMinIncremental, DisjointComponentsAreNotTouched) {

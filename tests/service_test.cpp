@@ -9,7 +9,9 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -899,6 +901,30 @@ TEST(ReplayServiceTest, UnknownKeysAreRejectedByName) {
     EXPECT_NE(r.error.find(std::string("unknown key '") + key + "'"),
               std::string::npos)
         << r.error;
+  }
+  EXPECT_EQ(service.stats().replays, 0u);
+}
+
+TEST(ReplayServiceTest, NonFiniteNumbersAreRejectedByKey) {
+  ServiceFixture fixture;
+  serve::ReplayService service(fixture.options());
+
+  // Scenario numbers follow the trace parser's finite-value rule: nan or
+  // inf must not replay (efficiency=nan used to deadlock at t=nan, eager=inf
+  // reached std::llround and replayed ok). The error names the key.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"efficiency", "nan"}, {"efficiency", "inf"}, {"eager", "inf"},
+      {"eager", "nan"}, {"eager", "1e300Gi"}};
+  for (const auto& [key, value] : cases) {
+    SCOPED_TRACE(key + "=" + value);
+    serve::Request request;
+    request.id = key;
+    request.params = fixture.base_params;
+    request.params[key] = value;
+    const auto r = service.run(request);
+    EXPECT_EQ(r.status, serve::Response::Status::badrequest);
+    EXPECT_NE(r.error.find("scenario '"), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find("': " + key + ": "), std::string::npos) << r.error;
   }
   EXPECT_EQ(service.stats().replays, 0u);
 }

@@ -12,9 +12,11 @@
 // through the streaming decoder without ever being materialised — the
 // input generator for bench_large_trace and the stream test battery.
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <string>
 
+#include "serve/scenario_build.hpp"
 #include "support/error.hpp"
 #include "trace/synthetic.hpp"
 
@@ -31,20 +33,9 @@ namespace {
   std::exit(2);
 }
 
-double parse_double_flag(const std::string& flag, const std::string& text) {
-  try {
-    std::size_t pos = 0;
-    const double value = std::stod(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument("trailing text");
-    return value;
-  } catch (const std::exception&) {
-    throw ParseError("invalid value '" + text + "' for " + flag);
-  }
-}
-
 std::uint64_t parse_u64_flag(const std::string& flag, const std::string& text) {
-  const double value = parse_double_flag(flag, text);
-  if (value < 1 || value != static_cast<std::uint64_t>(value))
+  const double value = serve::parse_double(flag, text);
+  if (value < 1 || value >= 0x1p63 || value != std::floor(value))
     throw ParseError("invalid value '" + text + "' for " + flag +
                      " (positive integer)");
   return static_cast<std::uint64_t>(value);
@@ -73,9 +64,9 @@ int run(int argc, char** argv) {
     } else if (arg == "--codec") {
       codec = next();
     } else if (arg == "--flops") {
-      spec.compute_flops = parse_double_flag("--flops", next());
+      spec.compute_flops = serve::parse_double("--flops", next());
     } else if (arg == "--bytes") {
-      spec.message_bytes = parse_double_flag("--bytes", next());
+      spec.message_bytes = serve::parse_double("--bytes", next());
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
     } else {

@@ -32,6 +32,7 @@
 
 #include "replay/replayer.hpp"
 #include "replay/timed_trace.hpp"
+#include "serve/scenario_build.hpp"
 #include "support/error.hpp"
 #include "support/units.hpp"
 
@@ -49,17 +50,6 @@ namespace {
                "  [--decode stream|materialise|auto]\n",
                argv0);
   std::exit(2);
-}
-
-double parse_double_flag(const std::string& flag, const std::string& text) {
-  try {
-    std::size_t pos = 0;
-    const double value = std::stod(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument("trailing text");
-    return value;
-  } catch (const std::exception&) {
-    throw ParseError("invalid value '" + text + "' for " + flag);
-  }
 }
 
 int run(int argc, char** argv) {
@@ -98,7 +88,7 @@ int run(int argc, char** argv) {
       want_profile = true;
       config.record_timed_trace = true;
     } else if (arg == "--efficiency") {
-      config.compute_efficiency = parse_double_flag("--efficiency", next());
+      config.compute_efficiency = serve::parse_double("--efficiency", next());
     } else if (arg == "--stats") {
       want_stats = true;
     } else if (arg == "--decode") {
@@ -137,11 +127,13 @@ int run(int argc, char** argv) {
     std::printf("  activities created:     %llu\n", u64(st.activities));
     std::printf("  timed heap events:      %llu\n", u64(st.heap_events));
     std::printf("  network solver calls:   %llu\n", u64(st.solver_calls));
-    std::printf("  solver vars touched:    %llu\n",
+    std::printf("  solver vars visited:    %llu\n",
                 u64(st.solver_vars_touched));
-    std::printf("  max component size:     %llu\n",
+    std::printf("  max vars in one solve:  %llu\n",
                 u64(st.solver_component_size_max));
-    std::printf("  flows re-rated:         %llu\n", u64(st.flows_rerated));
+    std::printf("  group updates:          %llu\n",
+                u64(st.solver_group_updates));
+    std::printf("  finish re-keys:         %llu\n", u64(st.flows_rerated));
     std::printf("  fast-path inline:       %llu\n", u64(st.fast_path_inline));
     std::printf("  fast-path ready:        %llu\n", u64(st.fast_path_ready));
   }

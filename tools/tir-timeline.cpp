@@ -31,6 +31,7 @@
 #include "obs/paje_export.hpp"
 #include "obs/report.hpp"
 #include "replay/replayer.hpp"
+#include "serve/scenario_build.hpp"
 #include "support/error.hpp"
 #include "support/units.hpp"
 
@@ -47,17 +48,6 @@ namespace {
                "  [--efficiency X]\n",
                argv0);
   std::exit(2);
-}
-
-double parse_double_flag(const std::string& flag, const std::string& text) {
-  try {
-    std::size_t pos = 0;
-    const double value = std::stod(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument("trailing text");
-    return value;
-  } catch (const std::exception&) {
-    throw ParseError("invalid value '" + text + "' for " + flag);
-  }
 }
 
 int run(int argc, char** argv) {
@@ -85,7 +75,7 @@ int run(int argc, char** argv) {
       config.span_activity_detail = true;
     } else if (arg == "--path-rows") {
       path_rows = static_cast<std::size_t>(
-          parse_double_flag("--path-rows", next()));
+          serve::parse_double("--path-rows", next()));
     } else if (arg == "--eager-threshold") {
       config.mpi.eager_threshold = units::parse_bytes(next());
     } else if (arg == "--collectives") {
@@ -98,7 +88,7 @@ int run(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (arg == "--efficiency") {
-      config.compute_efficiency = parse_double_flag("--efficiency", next());
+      config.compute_efficiency = serve::parse_double("--efficiency", next());
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
     } else if (!arg.empty() && arg[0] == '-') {
