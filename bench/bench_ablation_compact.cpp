@@ -12,7 +12,7 @@
 #include "replay/replayer.hpp"
 #include "trace/binary_format.hpp"
 #include "trace/compact.hpp"
-#include "trace/text_format.hpp"
+#include "trace/trace_set.hpp"
 
 using namespace tir;
 namespace fs = std::filesystem;

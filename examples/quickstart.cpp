@@ -16,6 +16,7 @@
 #include "replay/replayer.hpp"
 #include "support/units.hpp"
 #include "trace/text_format.hpp"
+#include "trace/trace_set.hpp"
 
 using namespace tir;
 

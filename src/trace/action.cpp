@@ -1,6 +1,9 @@
 #include "trace/action.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cctype>
+#include <climits>
 
 #include "support/error.hpp"
 #include "support/strings.hpp"
@@ -35,13 +38,31 @@ constexpr std::array<KeywordEntry, 15> kKeywords{{
     {ActionType::waitall, "waitAll"},
 }};
 
-// Accepts "p12" or "12".
-int parse_pid(std::string_view token) {
+// A non-negative integer field that must fit an int.
+int parse_count(std::string_view token, const char* field) {
+  const long long v = str::to_int(token);
+  if (v < 0)
+    throw ParseError(std::string("negative ") + field + " in trace line");
+  if (v > INT_MAX)
+    throw ParseError(std::string(field) + " '" + std::string(token) +
+                     "' out of range");
+  return static_cast<int>(v);
+}
+
+// A process id (the acting process or a partner): "p12" or "12".
+int parse_pid(std::string_view token, const char* field) {
   if (!token.empty() && (token[0] == 'p' || token[0] == 'P'))
     token.remove_prefix(1);
-  const long long v = str::to_int(token);
-  if (v < 0) throw ParseError("negative process id in trace line");
-  return static_cast<int>(v);
+  return parse_count(token, field);
+}
+
+// A volume: finite (the number parser's rule), non-negative, and -0 reads
+// as 0 so every codec decodes the same value.
+double parse_volume(std::string_view token, std::string_view line) {
+  const double v = str::to_double(token);
+  if (v < 0)
+    throw ParseError("negative volume in '" + std::string(line) + "'");
+  return v == 0 ? 0.0 : v;
 }
 
 }  // namespace
@@ -53,9 +74,13 @@ std::string_view action_keyword(ActionType type) {
 }
 
 ActionType action_type_from_keyword(std::string_view keyword) {
-  const std::string lowered = str::lower(keyword);
+  // Runs once per decoded action: compare in place, allocating nothing.
+  const auto lower = [](char c) {
+    return std::tolower(static_cast<unsigned char>(c));
+  };
   for (const auto& entry : kKeywords)
-    if (str::lower(entry.keyword) == lowered) return entry.type;
+    if (std::ranges::equal(entry.keyword, keyword, {}, lower, lower))
+      return entry.type;
   throw ParseError("unknown trace action keyword '" + std::string(keyword) +
                    "'");
 }
@@ -106,7 +131,7 @@ Action parse_line(std::string_view line) {
     throw ParseError("trace line needs at least '<pid> <action>': '" +
                      std::string(line) + "'");
   Action a;
-  a.pid = parse_pid(tokens[0]);
+  a.pid = parse_pid(tokens[0], "process id");
   a.type = action_type_from_keyword(tokens[1]);
 
   const auto need = [&](std::size_t n) {
@@ -121,31 +146,31 @@ Action parse_line(std::string_view line) {
     case ActionType::allgather:
     case ActionType::alltoall:
       need(3);
-      a.volume = str::to_double(tokens[2]);
+      a.volume = parse_volume(tokens[2], line);
       break;
     case ActionType::send:
     case ActionType::isend:
       need(4);
-      a.partner = parse_pid(tokens[2]);
-      a.volume = str::to_double(tokens[3]);
+      a.partner = parse_pid(tokens[2], "partner");
+      a.volume = parse_volume(tokens[3], line);
       break;
     case ActionType::recv:
     case ActionType::irecv:
       if (ntokens != 3 && ntokens != 4)
         throw ParseError("recv takes a source and an optional volume: '" +
                          std::string(line) + "'");
-      a.partner = parse_pid(tokens[2]);
-      if (ntokens == 4) a.volume = str::to_double(tokens[3]);
+      a.partner = parse_pid(tokens[2], "partner");
+      if (ntokens == 4) a.volume = parse_volume(tokens[3], line);
       break;
     case ActionType::reduce:
     case ActionType::allreduce:
       need(4);
-      a.volume = str::to_double(tokens[2]);
-      a.volume2 = str::to_double(tokens[3]);
+      a.volume = parse_volume(tokens[2], line);
+      a.volume2 = parse_volume(tokens[3], line);
       break;
     case ActionType::comm_size:
       need(3);
-      a.comm_size = static_cast<int>(str::to_int(tokens[2]));
+      a.comm_size = parse_count(tokens[2], "comm_size");
       break;
     case ActionType::barrier:
     case ActionType::wait:
@@ -153,8 +178,6 @@ Action parse_line(std::string_view line) {
       need(2);
       break;
   }
-  if (a.volume < 0 || a.volume2 < 0)
-    throw ParseError("negative volume in '" + std::string(line) + "'");
   return a;
 }
 

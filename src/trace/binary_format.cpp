@@ -1,10 +1,12 @@
 #include "trace/binary_format.hpp"
 
+#include <climits>
 #include <cmath>
 #include <cstring>
 
 #include "support/error.hpp"
 #include "trace/text_format.hpp"
+#include "trace/trace_set.hpp"
 
 namespace tir::trace {
 
@@ -28,19 +30,11 @@ BinaryTraceWriter::BinaryTraceWriter(const std::filesystem::path& path,
   buffer_.reserve(kFlushThreshold + 64);
   buffer_.append(kBinaryMagic, sizeof(kBinaryMagic));
   buffer_.push_back(static_cast<char>(kBinaryVersion));
-  put_varint(pid < 0 ? 0 : static_cast<std::uint64_t>(pid) + 1);
+  append_varint(buffer_, pid < 0 ? 0 : static_cast<std::uint64_t>(pid) + 1);
 }
 
 BinaryTraceWriter::~BinaryTraceWriter() {
   if (!closed_) close();
-}
-
-void BinaryTraceWriter::put_varint(std::uint64_t value) {
-  while (value >= 0x80) {
-    buffer_.push_back(static_cast<char>((value & 0x7F) | 0x80));
-    value >>= 7;
-  }
-  buffer_.push_back(static_cast<char>(value));
 }
 
 void BinaryTraceWriter::put_double(double value) {
@@ -64,13 +58,13 @@ void BinaryTraceWriter::write(const Action& a) {
   if (v_double) tag |= kVolumeIsDouble;
   if (v2_double) tag |= kVolume2IsDouble;
   buffer_.push_back(static_cast<char>(tag));
-  if (default_pid_ < 0) put_varint(static_cast<std::uint64_t>(a.pid));
+  if (default_pid_ < 0) append_varint(buffer_, static_cast<std::uint64_t>(a.pid));
 
   const auto put_volume = [&](double v, bool as_double) {
     if (as_double)
       put_double(v);
     else
-      put_varint(static_cast<std::uint64_t>(v));
+      append_varint(buffer_, static_cast<std::uint64_t>(v));
   };
 
   switch (a.type) {
@@ -85,7 +79,7 @@ void BinaryTraceWriter::write(const Action& a) {
     case ActionType::isend:
     case ActionType::recv:
     case ActionType::irecv:
-      put_varint(static_cast<std::uint64_t>(a.partner));
+      append_varint(buffer_, static_cast<std::uint64_t>(a.partner));
       put_volume(a.volume, v_double);
       break;
     case ActionType::reduce:
@@ -94,7 +88,7 @@ void BinaryTraceWriter::write(const Action& a) {
       put_volume(a.volume2, v2_double);
       break;
     case ActionType::comm_size:
-      put_varint(static_cast<std::uint64_t>(a.comm_size));
+      append_varint(buffer_, static_cast<std::uint64_t>(a.comm_size));
       break;
     case ActionType::barrier:
     case ActionType::wait:
@@ -117,71 +111,53 @@ std::uint64_t BinaryTraceWriter::close() {
 }
 
 BinaryTraceReader::BinaryTraceReader(const std::filesystem::path& path)
-    : in_(path, std::ios::binary), path_(path), default_pid_(-1) {
-  if (!in_) throw IoError("cannot open binary trace '" + path.string() + "'");
-  char magic[4];
-  in_.read(magic, 4);
-  if (in_.gcount() != 4 || std::memcmp(magic, kBinaryMagic, 4) != 0)
+    : in_(path) {
+  const auto magic = in_.take(sizeof(kBinaryMagic));
+  if (!magic || std::memcmp(magic->data(), kBinaryMagic, 4) != 0)
     throw ParseError(path.string() + ": not a binary TIR trace");
   const int version = in_.get();
   if (version != kBinaryVersion)
     throw ParseError(path.string() + ": unsupported binary trace version " +
                      std::to_string(version));
-  const std::uint64_t pid_plus_1 = get_varint();
+  in_.mark();
+  const std::uint64_t pid_plus_1 = read_varint(in_);
+  if (pid_plus_1 > static_cast<std::uint64_t>(INT_MAX) + 1)
+    in_.fail("header process id " + std::to_string(pid_plus_1 - 1) +
+             " out of range");
   default_pid_ = pid_plus_1 == 0 ? -1 : static_cast<int>(pid_plus_1 - 1);
 }
 
-std::uint64_t BinaryTraceReader::byte_offset() {
-  const auto pos = in_.tellg();
-  return pos < 0 ? 0 : static_cast<std::uint64_t>(pos);
+int BinaryTraceReader::get_int(const char* field) {
+  const std::uint64_t value = read_varint(in_);
+  if (value > static_cast<std::uint64_t>(INT_MAX))
+    in_.fail(std::string(field) + " " + std::to_string(value) +
+             " out of range");
+  return static_cast<int>(value);
 }
 
-void BinaryTraceReader::seek(std::uint64_t offset) {
-  in_.clear();
-  in_.seekg(static_cast<std::streamoff>(offset));
-}
-
-std::uint64_t BinaryTraceReader::get_varint() {
-  std::uint64_t value = 0;
-  int shift = 0;
-  for (;;) {
-    const int byte = in_.get();
-    if (byte == EOF)
-      throw ParseError(path_.string() + ": truncated varint");
-    value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return value;
-    shift += 7;
-    if (shift > 63) throw ParseError(path_.string() + ": varint overflow");
-  }
-}
-
-double BinaryTraceReader::get_double() {
-  char raw[sizeof(double)];
-  in_.read(raw, sizeof(double));
-  if (in_.gcount() != sizeof(double))
-    throw ParseError(path_.string() + ": truncated double");
+double BinaryTraceReader::get_volume(bool as_double) {
+  if (!as_double) return static_cast<double>(read_varint(in_));
+  const auto raw = in_.take(sizeof(double));
+  if (!raw) in_.fail("truncated double");
   double value;
-  std::memcpy(&value, raw, sizeof(double));
-  if (!std::isfinite(value))
-    throw ParseError(path_.string() + ": non-finite double");
-  return value;
+  std::memcpy(&value, raw->data(), sizeof(double));
+  if (!std::isfinite(value)) in_.fail("non-finite double");
+  if (value < 0) in_.fail("negative volume " + std::to_string(value));
+  return value == 0 ? 0.0 : value;  // -0 reads as 0, as in every codec
 }
 
 std::optional<Action> BinaryTraceReader::next() {
+  in_.mark();
   const int tag_byte = in_.get();
-  if (tag_byte == EOF) return std::nullopt;
+  if (tag_byte < 0) return std::nullopt;
   const auto tag = static_cast<std::uint8_t>(tag_byte);
   const auto type_raw = static_cast<int>(tag & 0x0F);
   if (type_raw > static_cast<int>(ActionType::waitall))
-    throw ParseError(path_.string() + ": corrupt action tag");
+    in_.fail("corrupt action tag");
   Action a;
   a.type = static_cast<ActionType>(type_raw);
-  a.pid = default_pid_ >= 0 ? default_pid_
-                            : static_cast<int>(get_varint());
+  a.pid = default_pid_ >= 0 ? default_pid_ : get_int("process id");
 
-  const auto get_volume = [&](bool as_double) {
-    return as_double ? get_double() : static_cast<double>(get_varint());
-  };
   const bool v_double = (tag & kVolumeIsDouble) != 0;
   const bool v2_double = (tag & kVolume2IsDouble) != 0;
 
@@ -197,7 +173,7 @@ std::optional<Action> BinaryTraceReader::next() {
     case ActionType::isend:
     case ActionType::recv:
     case ActionType::irecv:
-      a.partner = static_cast<int>(get_varint());
+      a.partner = get_int("partner");
       a.volume = get_volume(v_double);
       break;
     case ActionType::reduce:
@@ -206,7 +182,7 @@ std::optional<Action> BinaryTraceReader::next() {
       a.volume2 = get_volume(v2_double);
       break;
     case ActionType::comm_size:
-      a.comm_size = static_cast<int>(get_varint());
+      a.comm_size = get_int("comm_size");
       break;
     case ActionType::barrier:
     case ActionType::wait:
@@ -217,19 +193,13 @@ std::optional<Action> BinaryTraceReader::next() {
 }
 
 bool is_binary_trace(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  char magic[4];
-  in.read(magic, 4);
-  return in.gcount() == 4 && std::memcmp(magic, kBinaryMagic, 4) == 0;
+  return starts_with_magic(path, {kBinaryMagic, sizeof(kBinaryMagic)});
 }
 
 std::uint64_t text_to_binary(const std::filesystem::path& text_in,
                              const std::filesystem::path& binary_out) {
-  TextTraceReader reader(text_in);
-  // Probe the first action to decide whether a single pid covers the file.
-  std::vector<Action> actions;
-  while (auto a = reader.next()) actions.push_back(*a);
+  const std::vector<Action> actions = read_all(text_in);
+  // Factor the pid out when a single one covers the file.
   int pid = actions.empty() ? -1 : actions.front().pid;
   for (const Action& a : actions)
     if (a.pid != pid) {
@@ -243,9 +213,8 @@ std::uint64_t text_to_binary(const std::filesystem::path& text_in,
 
 std::uint64_t binary_to_text(const std::filesystem::path& binary_in,
                              const std::filesystem::path& text_out) {
-  BinaryTraceReader reader(binary_in);
   TextTraceWriter writer(text_out);
-  while (auto a = reader.next()) writer.write(*a);
+  for (const Action& a : read_all(binary_in)) writer.write(a);
   return writer.close();
 }
 

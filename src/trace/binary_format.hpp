@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "trace/action.hpp"
+#include "trace/file_bytes.hpp"
 
 namespace tir::trace {
 
@@ -40,7 +41,6 @@ class BinaryTraceWriter {
   std::uint64_t close();
 
  private:
-  void put_varint(std::uint64_t value);
   void put_double(double value);
   void maybe_flush();
 
@@ -51,32 +51,35 @@ class BinaryTraceWriter {
   bool closed_ = false;
 };
 
+/// The binary format's record reader. Every binary decode (whole file,
+/// index pass, streaming cursor) reads through it.
 class BinaryTraceReader {
  public:
+  /// Reads the header. Throws tir::IoError (unreadable) or tir::ParseError
+  /// (bad magic, version or header pid).
   explicit BinaryTraceReader(const std::filesystem::path& path);
 
+  /// Next action, or nullopt at end of file. Throws tir::ParseError
+  /// "<file>: byte <offset>: <reason>" naming the record's first byte.
   std::optional<Action> next();
 
-  /// Current read position in bytes (salvage decoding snapshots it before
-  /// each record to locate the clean prefix). 0 when the stream is in a
-  /// failed state.
-  std::uint64_t byte_offset();
+  /// Byte offset of the record next() last returned or rejected.
+  std::uint64_t record_offset() const { return in_.marked(); }
 
-  /// Repositions to an absolute byte offset (a record boundary recorded by
-  /// byte_offset — the streaming index's segment starts). Clears any EOF
-  /// state first.
-  void seek(std::uint64_t offset);
+  /// "<file>: byte <offset>" of that record.
+  std::string where() const {
+    return byte_location(in_.path(), in_.marked());
+  }
 
-  /// The header's factored-out process id, or -1 for per-record pids.
-  int default_pid() const { return default_pid_; }
+  /// Repositions to a record_offset() taken in an earlier pass.
+  void seek(std::uint64_t offset) { in_.seek(offset); }
 
  private:
-  std::uint64_t get_varint();
-  double get_double();
+  int get_int(const char* field);  ///< a varint that must fit an int
+  double get_volume(bool as_double);
 
-  std::ifstream in_;
-  std::filesystem::path path_;
-  int default_pid_;
+  FileBytes in_;
+  int default_pid_ = -1;
 };
 
 /// True when the file starts with the binary-trace magic.

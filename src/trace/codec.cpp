@@ -1,10 +1,6 @@
 #include "trace/codec.hpp"
 
-#include <algorithm>
-#include <fstream>
-
 #include "support/error.hpp"
-#include "support/strings.hpp"
 #include "trace/binary_format.hpp"
 #include "trace/compact.hpp"
 #include "trace/text_format.hpp"
@@ -13,52 +9,10 @@ namespace tir::trace {
 
 namespace {
 
-std::uint64_t file_size_or_zero(const std::filesystem::path& path) {
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  return ec ? 0 : static_cast<std::uint64_t>(size);
-}
-
 class TextCodec final : public TraceCodec {
  public:
   std::string_view name() const override { return "text"; }
   bool sniff(const std::filesystem::path&) const override { return true; }
-  std::vector<Action> decode(
-      const std::filesystem::path& path) const override {
-    return read_all(path);
-  }
-  DecodedTrace decode_salvage(
-      const std::filesystem::path& path) const override {
-    DecodedTrace out;
-    out.bytes_total = file_size_or_zero(path);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      out.complete = false;
-      out.error = "cannot open trace file '" + path.string() + "'";
-      return out;
-    }
-    std::string line;
-    std::uint64_t line_no = 0;
-    std::uint64_t consumed = 0;
-    while (std::getline(in, line)) {
-      ++line_no;
-      const auto trimmed = str::trim(line);
-      if (!trimmed.empty() && trimmed[0] != '#') {
-        try {
-          out.actions.push_back(parse_line(trimmed));
-        } catch (const ParseError& e) {
-          out.complete = false;
-          out.error = path.string() + ":" + std::to_string(line_no) + ": " +
-                      e.what();
-          out.bytes_consumed = std::min(consumed, out.bytes_total);
-          return out;
-        }
-      }
-      consumed += line.size() + 1;  // +1: the newline getline swallowed
-    }
-    out.bytes_consumed = out.bytes_total;  // clean to EOF
-    return out;
-  }
   std::uint64_t encode(const std::filesystem::path& path,
                        const std::vector<Action>& actions,
                        int /*pid*/) const override {
@@ -73,42 +27,6 @@ class BinaryCodec final : public TraceCodec {
   std::string_view name() const override { return "binary"; }
   bool sniff(const std::filesystem::path& path) const override {
     return is_binary_trace(path);
-  }
-  std::vector<Action> decode(
-      const std::filesystem::path& path) const override {
-    BinaryTraceReader reader(path);
-    std::vector<Action> actions;
-    while (auto a = reader.next()) actions.push_back(*a);
-    return actions;
-  }
-  DecodedTrace decode_salvage(
-      const std::filesystem::path& path) const override {
-    DecodedTrace out;
-    out.bytes_total = file_size_or_zero(path);
-    try {
-      BinaryTraceReader reader(path);
-      for (;;) {
-        // Snapshot the offset before each record so a mid-record truncation
-        // salvages exactly the records before it.
-        const std::uint64_t offset = reader.byte_offset();
-        std::optional<Action> a;
-        try {
-          a = reader.next();
-        } catch (const Error& e) {
-          out.complete = false;
-          out.error = e.what();
-          out.bytes_consumed = std::min(offset, out.bytes_total);
-          return out;
-        }
-        if (!a) break;
-        out.actions.push_back(*a);
-      }
-      out.bytes_consumed = out.bytes_total;
-    } catch (const Error& e) {  // bad magic / unreadable header
-      out.complete = false;
-      out.error = e.what();
-    }
-    return out;
   }
   std::uint64_t encode(const std::filesystem::path& path,
                        const std::vector<Action>& actions,
@@ -125,10 +43,6 @@ class CompactCodec final : public TraceCodec {
   bool sniff(const std::filesystem::path& path) const override {
     return is_compact_trace(path);
   }
-  std::vector<Action> decode(
-      const std::filesystem::path& path) const override {
-    return expand(read_compact(path));
-  }
   std::uint64_t encode(const std::filesystem::path& path,
                        const std::vector<Action>& actions,
                        int pid) const override {
@@ -141,23 +55,6 @@ const BinaryCodec g_binary;
 const CompactCodec g_compact;
 
 }  // namespace
-
-DecodedTrace TraceCodec::decode_salvage(
-    const std::filesystem::path& path) const {
-  // All-or-nothing fallback: a format without record framing (compact's
-  // length-prefixed blocks) either decodes cleanly or salvages nothing.
-  DecodedTrace out;
-  out.bytes_total = file_size_or_zero(path);
-  try {
-    out.actions = decode(path);
-    out.bytes_consumed = out.bytes_total;
-  } catch (const std::exception& e) {
-    out.complete = false;
-    out.error = e.what();
-    out.actions.clear();
-  }
-  return out;
-}
 
 const std::vector<const TraceCodec*>& all_codecs() {
   // Magic-bearing formats first; text accepts anything and must come last.

@@ -1,33 +1,19 @@
 // Unified codec interface over the three on-disk trace formats.
 //
-// TraceSet used to hard-wire text/binary/compact dispatch; the codec layer
-// turns each format into one object with sniff (magic detection), decode
-// (whole-file -> actions) and encode (actions -> file) entry points, so the
-// scenario layer — and any future format — goes through a single seam.
-// Codecs are stateless singletons: decode is const and thread-safe, which is
-// what lets a shared TraceSet be filled concurrently by sweep workers.
+// Each format is one stateless singleton with sniff (magic detection) and
+// encode (actions -> file); decoding goes through the format's record
+// reader and the one scan behind read_all() and TraceSet
+// (trace/stream.hpp), so a format has exactly one decoder.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "trace/action.hpp"
 
 namespace tir::trace {
-
-/// Result of a lenient (salvage) decode: the longest cleanly decodable
-/// prefix of a damaged file, plus how much of the file that prefix covers.
-/// A clean file salvages completely (complete == true, consumed == total).
-struct DecodedTrace {
-  std::vector<Action> actions;
-  bool complete = true;              ///< reached end-of-file without error
-  std::string error;                 ///< first decode error when !complete
-  std::uint64_t bytes_consumed = 0;  ///< size of the clean prefix
-  std::uint64_t bytes_total = 0;     ///< on-disk file size
-};
 
 class TraceCodec {
  public:
@@ -39,18 +25,6 @@ class TraceCodec {
   /// True when the file's leading bytes identify this format. The text
   /// codec matches anything (it is probed last).
   virtual bool sniff(const std::filesystem::path& path) const = 0;
-
-  /// Reads the whole file into actions (every process's, in file order).
-  /// Throws tir::IoError / tir::ParseError.
-  virtual std::vector<Action> decode(
-      const std::filesystem::path& path) const = 0;
-
-  /// Lenient decode: never throws on corrupt input, returning instead the
-  /// longest cleanly decodable prefix and the first error. The default is
-  /// all-or-nothing (formats without record-level framing); text and binary
-  /// override it with per-line / per-record salvage.
-  virtual DecodedTrace decode_salvage(
-      const std::filesystem::path& path) const;
 
   /// Writes `actions` to `path`. `pid` >= 0 marks a per-process file where
   /// the format can factor the process id out; -1 keeps per-record pids

@@ -1,5 +1,7 @@
 #include "trace/compact.hpp"
 
+#include <climits>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <unordered_map>
@@ -125,25 +127,18 @@ std::uint64_t write_compact(const std::filesystem::path& path,
   if (!out)
     throw IoError("cannot create compact trace '" + path.string() + "'");
   std::string buffer;
-  const auto put_varint = [&buffer](std::uint64_t value) {
-    while (value >= 0x80) {
-      buffer.push_back(static_cast<char>((value & 0x7F) | 0x80));
-      value >>= 7;
-    }
-    buffer.push_back(static_cast<char>(value));
-  };
   buffer.append(kCompactMagic, sizeof(kCompactMagic));
   buffer.push_back(static_cast<char>(kCompactVersion));
-  put_varint(static_cast<std::uint64_t>(pid));
-  put_varint(program.size());
+  append_varint(buffer, static_cast<std::uint64_t>(pid));
+  append_varint(buffer, program.size());
   for (const LoopBlock& block : program) {
-    put_varint(block.count);
-    put_varint(block.body.size());
+    append_varint(buffer, block.count);
+    append_varint(buffer, block.body.size());
     // Reuse the textual action encoding per entry: simple and debuggable
     // (the count dominates the savings anyway).
     for (const Action& a : block.body) {
       const std::string line = to_line(a);
-      put_varint(line.size());
+      append_varint(buffer, line.size());
       buffer += line;
     }
   }
@@ -151,46 +146,77 @@ std::uint64_t write_compact(const std::filesystem::path& path,
   return buffer.size();
 }
 
-CompactProgram read_compact(const std::filesystem::path& path, int* pid_out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open compact trace '" + path.string() + "'");
-  char magic[4];
-  in.read(magic, 4);
-  if (in.gcount() != 4 || std::memcmp(magic, kCompactMagic, 4) != 0)
+CompactTraceReader::CompactTraceReader(const std::filesystem::path& path)
+    : in_(path) {
+  const auto magic = in_.take(sizeof(kCompactMagic));
+  if (!magic || std::memcmp(magic->data(), kCompactMagic, 4) != 0)
     throw ParseError(path.string() + ": not a compact TIR trace");
-  if (in.get() != kCompactVersion)
+  if (in_.get() != kCompactVersion)
     throw ParseError(path.string() + ": unsupported compact-trace version");
-  const auto get_varint = [&in, &path]() -> std::uint64_t {
-    std::uint64_t value = 0;
-    int shift = 0;
-    for (;;) {
-      const int byte = in.get();
-      if (byte == EOF) throw ParseError(path.string() + ": truncated varint");
-      value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) return value;
-      shift += 7;
-      if (shift > 63) throw ParseError(path.string() + ": varint overflow");
+  in_.mark();
+  // The writer stores pid -1 (merged) as its 64-bit two's complement.
+  const std::uint64_t pid = read_varint(in_);
+  if (pid > static_cast<std::uint64_t>(INT_MAX) && pid != UINT64_MAX)
+    in_.fail("header process id " + std::to_string(pid) + " out of range");
+  pid_ = static_cast<int>(static_cast<std::int64_t>(pid));
+  blocks_left_ = read_varint(in_);
+}
+
+std::string_view CompactTraceReader::entry() {
+  in_.mark();
+  const auto line = in_.take(read_varint(in_));
+  if (!line) in_.fail("truncated action");
+  return *line;
+}
+
+std::optional<CompactBlock> CompactTraceReader::next_block() {
+  if (blocks_left_ == 0) return std::nullopt;
+  --blocks_left_;
+  return framing();
+}
+
+CompactBlock CompactTraceReader::framing() {
+  in_.mark();
+  CompactBlock block;
+  block.offset = block_offset_ = in_.offset();
+  const std::uint64_t repeat = read_varint(in_);
+  if (repeat > UINT32_MAX)
+    in_.fail("repeat count " + std::to_string(repeat) + " out of range");
+  block.repeat = static_cast<std::uint32_t>(repeat);
+  block.body_actions = read_varint(in_);
+  return block;
+}
+
+void CompactTraceReader::read_body(const CompactBlock& block,
+                                   std::vector<Action>& body) {
+  body.clear();
+  for (std::uint64_t k = 0; k < block.body_actions; ++k) {
+    const std::string_view line = entry();
+    try {
+      body.push_back(parse_line(line));
+    } catch (const ParseError& e) {
+      in_.fail(e.what());
     }
-  };
-  const int pid = static_cast<int>(get_varint());
-  if (pid_out != nullptr) *pid_out = pid;
-  const std::uint64_t blocks = get_varint();
+  }
+}
+
+void CompactTraceReader::skip_body(const CompactBlock& block) {
+  for (std::uint64_t k = 0; k < block.body_actions; ++k) entry();
+}
+
+void CompactTraceReader::reread(const CompactBlock& block,
+                                std::vector<Action>& body) {
+  in_.seek(block.offset);
+  read_body(framing(), body);
+}
+
+CompactProgram read_compact(const std::filesystem::path& path, int* pid_out) {
+  CompactTraceReader reader(path);
+  if (pid_out != nullptr) *pid_out = reader.pid();
   CompactProgram program;
-  program.reserve(blocks);
-  std::string line;
-  for (std::uint64_t b = 0; b < blocks; ++b) {
-    LoopBlock block;
-    block.count = static_cast<std::uint32_t>(get_varint());
-    const std::uint64_t body = get_varint();
-    block.body.reserve(body);
-    for (std::uint64_t k = 0; k < body; ++k) {
-      line.resize(get_varint());
-      in.read(line.data(), static_cast<std::streamsize>(line.size()));
-      if (static_cast<std::uint64_t>(in.gcount()) != line.size())
-        throw ParseError(path.string() + ": truncated action");
-      block.body.push_back(parse_line(line));
-    }
-    program.push_back(std::move(block));
+  while (const auto block = reader.next_block()) {
+    program.push_back(LoopBlock{block->repeat, {}});
+    reader.read_body(*block, program.back().body);
   }
   return program;
 }
@@ -198,38 +224,11 @@ CompactProgram read_compact(const std::filesystem::path& path, int* pid_out) {
 std::uint64_t compact_expanded_hint(
     const std::filesystem::path& path) noexcept {
   try {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return 0;
-    char magic[4];
-    in.read(magic, 4);
-    if (in.gcount() != 4 || std::memcmp(magic, kCompactMagic, 4) != 0)
-      return 0;
-    if (in.get() != kCompactVersion) return 0;
-    const auto get_varint = [&in]() -> std::uint64_t {
-      std::uint64_t value = 0;
-      int shift = 0;
-      for (;;) {
-        const int byte = in.get();
-        if (byte == EOF) throw ParseError("truncated varint");
-        value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-        if ((byte & 0x80) == 0) return value;
-        shift += 7;
-        if (shift > 63) throw ParseError("varint overflow");
-      }
-    };
-    get_varint();  // pid
-    const std::uint64_t blocks = get_varint();
+    CompactTraceReader reader(path);
     std::uint64_t total = 0;
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-      // Same uint32 narrowing read_compact applies to the loop count.
-      const auto count = static_cast<std::uint32_t>(get_varint());
-      const std::uint64_t body = get_varint();
-      for (std::uint64_t k = 0; k < body; ++k) {
-        const std::uint64_t len = get_varint();
-        in.seekg(static_cast<std::streamoff>(len), std::ios::cur);
-        if (!in) throw ParseError("truncated action");
-      }
-      total += static_cast<std::uint64_t>(count) * body;
+    while (const auto block = reader.next_block()) {
+      reader.skip_body(*block);
+      total += static_cast<std::uint64_t>(block->repeat) * block->body_actions;
     }
     return total;
   } catch (...) {
@@ -238,27 +237,7 @@ std::uint64_t compact_expanded_hint(
 }
 
 bool is_compact_trace(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  char magic[4];
-  in.read(magic, 4);
-  return in.gcount() == 4 && std::memcmp(magic, kCompactMagic, 4) == 0;
-}
-
-CompactSource::CompactSource(CompactProgram program)
-    : program_(std::move(program)) {}
-
-std::optional<Action> CompactSource::next() {
-  while (block_ < program_.size()) {
-    const LoopBlock& block = program_[block_];
-    if (offset_ < block.body.size()) return block.body[offset_++];
-    offset_ = 0;
-    if (++repeat_ < block.count && !block.body.empty())
-      return block.body[offset_++];
-    repeat_ = 0;
-    ++block_;
-  }
-  return std::nullopt;
+  return starts_with_magic(path, {kCompactMagic, sizeof(kCompactMagic)});
 }
 
 }  // namespace tir::trace

@@ -15,10 +15,13 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/action.hpp"
-#include "trace/trace_set.hpp"
+#include "trace/file_bytes.hpp"
 
 namespace tir::trace {
 
@@ -42,13 +45,64 @@ std::vector<Action> expand(const CompactProgram& program);
 /// Number of actions the program expands to.
 std::uint64_t expanded_size(const CompactProgram& program);
 
-/// Serialises a program ("TIRC" container embedding the binary action
+/// Serialises a program ("TIRC" container embedding the textual action
 /// encoding). Returns bytes written.
 std::uint64_t write_compact(const std::filesystem::path& path,
                             const CompactProgram& program, int pid);
 
-CompactProgram read_compact(const std::filesystem::path& path, int* pid_out =
-                                                                   nullptr);
+/// Framing of one loop block as stored in a compact file.
+struct CompactBlock {
+  std::uint64_t offset = 0;        ///< byte offset of the block header
+  std::uint32_t repeat = 0;        ///< loop count
+  std::uint64_t body_actions = 0;  ///< actions per repetition
+};
+
+/// The compact format's block reader. Every compact decode (whole file,
+/// index pass, streaming cursor, expansion hint) reads through it. Errors
+/// are tir::ParseError "<file>: byte <offset>: <reason>".
+class CompactTraceReader {
+ public:
+  /// Reads the header. Throws tir::IoError (unreadable) or tir::ParseError.
+  explicit CompactTraceReader(const std::filesystem::path& path);
+
+  /// The header's process id (-1 for a merged file).
+  int pid() const { return pid_; }
+
+  /// Framing of the next block, or nullopt after the last one. Its body
+  /// must be read or skipped before the next call.
+  std::optional<CompactBlock> next_block();
+
+  /// Parses the body of the block next_block() just returned (`body` is
+  /// cleared first).
+  void read_body(const CompactBlock& block, std::vector<Action>& body);
+
+  /// Steps over that body without parsing it.
+  void skip_body(const CompactBlock& block);
+
+  /// Seeks to a block found in an earlier pass and parses its body.
+  void reread(const CompactBlock& block, std::vector<Action>& body);
+
+  /// Byte offset of the block next_block() last read or rejected.
+  std::uint64_t record_offset() const { return block_offset_; }
+
+  /// "<file>: byte <offset>" of that block.
+  std::string where() const {
+    return byte_location(in_.path(), block_offset_);
+  }
+
+ private:
+  CompactBlock framing();    ///< a block's repeat count and body length
+  std::string_view entry();  ///< one length-prefixed action line
+
+  FileBytes in_;
+  int pid_ = -1;
+  std::uint64_t blocks_left_ = 0;
+  std::uint64_t block_offset_ = 0;
+};
+
+/// The whole program, block structure included.
+CompactProgram read_compact(const std::filesystem::path& path,
+                            int* pid_out = nullptr);
 
 /// True when the file starts with the compact-trace magic.
 bool is_compact_trace(const std::filesystem::path& path);
@@ -60,18 +114,5 @@ bool is_compact_trace(const std::filesystem::path& path);
 /// expands into a huge trace. Returns 0 on any error (not compact,
 /// truncated, unreadable).
 std::uint64_t compact_expanded_hint(const std::filesystem::path& path) noexcept;
-
-/// Streams the expansion without materialising it (replay input).
-class CompactSource final : public ActionSource {
- public:
-  explicit CompactSource(CompactProgram program);
-  std::optional<Action> next() override;
-
- private:
-  CompactProgram program_;
-  std::size_t block_ = 0;
-  std::uint32_t repeat_ = 0;
-  std::size_t offset_ = 0;
-};
 
 }  // namespace tir::trace

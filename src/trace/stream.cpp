@@ -1,284 +1,161 @@
 #include "trace/stream.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
+#include <optional>
+#include <span>
 #include <string>
 
 #include "support/error.hpp"
-#include "support/strings.hpp"
 #include "trace/binary_format.hpp"
-#include "trace/compact.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define TIR_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
+#include "trace/codec.hpp"
+#include "trace/text_format.hpp"
 
 namespace tir::trace {
 
 namespace {
 
-std::uint64_t file_size_or_zero(const std::filesystem::path& path) {
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  return ec ? 0 : static_cast<std::uint64_t>(size);
-}
-
-std::string wild_pid_message(const std::filesystem::path& path, int pid,
-                             int nprocs) {
-  // Must match TraceSet's merged-distribution error verbatim: callers and
-  // tests see the same message whichever decode path runs.
-  return path.string() + ": action for process " + std::to_string(pid) +
-         " but nprocs is " + std::to_string(nprocs);
-}
-
-/// Grows per-pid runs one action at a time. Split files (merged == false)
-/// collapse into a single run regardless of record pids — the whole file is
-/// one process's stream, kept verbatim.
-struct SegmentBuilder {
-  std::vector<StreamIndex::Segment>& segments;
-  bool merged;
-  bool overflow = false;
-
-  void add(int pid, std::uint64_t offset) {
-    const int key = merged ? pid : -1;
-    if (!segments.empty() && segments.back().pid == key) {
-      ++segments.back().count;
-      return;
-    }
-    if (segments.size() >= kMaxStreamSegments) {
-      overflow = true;
-      return;
-    }
-    segments.push_back({key, offset, 1});
-  }
-};
-
-StreamIndex fallback_index(const std::filesystem::path& path) {
-  StreamIndex idx;
-  idx.kind = StreamIndex::Kind::fallback;
-  idx.path = path;
-  return idx;
-}
-
-/// Sequential line reader for the text index pass: mmap + memchr where
-/// available (no per-line copy — the pass is pure parse), degrading to a
-/// getline ifstream. Bounded-memory either way: the mapping is backed by
-/// the page cache, the fallback keeps one line resident.
-class LineScanner {
+/// A scan's per-file state: the decode mode's error policy, the
+/// merged layout's pid rule and the SalvageInfo they produce.
+class Pass {
  public:
-  explicit LineScanner(const std::filesystem::path& path) {
-#if TIR_HAVE_MMAP
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd >= 0) {
-      struct stat st{};
-      if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-        void* p = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                         PROT_READ, MAP_PRIVATE, fd, 0);
-        if (p != MAP_FAILED) {
-          data_ = static_cast<const char*>(p);
-          size_ = static_cast<std::size_t>(st.st_size);
-          mapped_ = true;
-        }
-      }
-      ::close(fd);
-      if (mapped_) {
-        ok_ = true;
-        return;
-      }
+  Pass(const std::filesystem::path& path, DecodeMode mode, int merged_nprocs)
+      : strict_(mode == DecodeMode::strict), nprocs_(merged_nprocs) {
+    info_.bytes_total = file_size_or_zero(path);
+  }
+
+  bool strict() const { return strict_; }
+
+  /// Whether `a` goes to the consumer. In the merged layout the first pid
+  /// outside [0, nprocs) ends distribution; its error waits for the end of
+  /// the file, so that a parse error anywhere outranks it (strict mode
+  /// throws that instead, lenient mode reports it instead).
+  template <typename Where>
+  bool distribute(const Action& a, const Where& where) {
+    if (!distributing_) return false;
+    if (nprocs_ < 0 || (a.pid >= 0 && a.pid < nprocs_)) return true;
+    distributing_ = false;
+    wild_error_ = where() + ": action for process " + std::to_string(a.pid) +
+                  " but nprocs is " + std::to_string(nprocs_);
+    return false;
+  }
+
+  /// Lenient outcome of a decode error: the clean prefix is `consumed`
+  /// bytes long.
+  SalvageInfo fail(const Error& e, std::uint64_t consumed) {
+    info_.complete = false;
+    info_.error = e.what();
+    info_.bytes_consumed = std::min(consumed, info_.bytes_total);
+    return info_;
+  }
+
+  /// Outcome of a pass that read the whole file.
+  SalvageInfo finish() {
+    if (!wild_error_.empty()) {
+      if (strict_) throw ParseError(wild_error_);
+      info_.complete = false;
+      info_.error = wild_error_;
     }
-#endif
-    in_.open(path, std::ios::binary);
-    ok_ = static_cast<bool>(in_);
+    info_.bytes_consumed = info_.bytes_total;
+    return info_;
   }
-
-  ~LineScanner() {
-#if TIR_HAVE_MMAP
-    if (mapped_) ::munmap(const_cast<char*>(data_), size_);
-#endif
-  }
-
-  LineScanner(const LineScanner&) = delete;
-  LineScanner& operator=(const LineScanner&) = delete;
-
-  bool ok() const { return ok_; }
-
-  /// Next line (newline stripped), or nullopt at EOF.
-  std::optional<std::string_view> next() {
-    if (mapped_) {
-      if (pos_ >= size_) return std::nullopt;
-      offset_ = pos_;
-      const char* start = data_ + pos_;
-      const auto* nl = static_cast<const char*>(
-          std::memchr(start, '\n', size_ - pos_));
-      const std::size_t len =
-          nl ? static_cast<std::size_t>(nl - start) : size_ - pos_;
-      pos_ += len + (nl ? 1 : 0);
-      return std::string_view(start, len);
-    }
-    offset_ = consumed_;
-    if (!in_.is_open() || !std::getline(in_, line_)) return std::nullopt;
-    consumed_ += line_.size() + 1;  // +1: the newline getline swallowed
-    return std::string_view(line_);
-  }
-
-  /// Byte offset of the line `next()` just returned.
-  std::uint64_t offset() const { return offset_; }
 
  private:
-  bool ok_ = false;
-  std::uint64_t offset_ = 0;
-  // mmap state
-  const char* data_ = nullptr;
-  std::size_t size_ = 0;
-  std::size_t pos_ = 0;
-  bool mapped_ = false;
-  // ifstream fallback
-  std::ifstream in_;
-  std::string line_;
-  std::uint64_t consumed_ = 0;
+  bool strict_;
+  int nprocs_;
+  bool distributing_ = true;
+  std::string wild_error_;
+  SalvageInfo info_;
 };
 
-StreamIndex build_text_index(const std::filesystem::path& path,
-                             DecodeMode mode, int merged_nprocs) {
-  StreamIndex idx;
-  idx.kind = StreamIndex::Kind::text;
-  idx.path = path;
-  idx.salvage.bytes_total = file_size_or_zero(path);
-
-  LineScanner scan(path);
-  if (!scan.ok()) {
-    const std::string what =
-        "cannot open trace file '" + path.string() + "'";
-    if (mode == DecodeMode::strict) throw IoError(what);
-    idx.salvage.complete = false;
-    idx.salvage.error = what;
-    return idx;
-  }
-
-  const bool merged = merged_nprocs >= 0;
-  SegmentBuilder seg{idx.segments, merged};
-  std::uint64_t line_no = 0;
-  bool distributing = true;
-  // Merged strict mode defers the wild-pid throw to clean EOF: the
-  // materialised path decodes the whole file first (surfacing any parse
-  // error) and only then distributes by pid, so a parse error anywhere in
-  // the file outranks an earlier out-of-range pid.
-  std::string wild_error;
-  const auto finalize_wild = [&] {
-    if (wild_error.empty()) return;
-    idx.salvage.complete = false;
-    if (idx.salvage.error.empty()) idx.salvage.error = wild_error;
-  };
-
-  while (const auto line = scan.next()) {
-    ++line_no;
-    const std::uint64_t line_offset = scan.offset();
-    const auto trimmed = str::trim(*line);
-    if (!trimmed.empty() && trimmed[0] != '#') {
-      Action a;
-      try {
-        a = parse_line(trimmed);
-      } catch (const ParseError& e) {
-        const std::string what = path.string() + ":" +
-                                 std::to_string(line_no) + ": " + e.what();
-        if (mode == DecodeMode::strict) throw ParseError(what);
-        idx.salvage.complete = false;
-        idx.salvage.error = what;
-        idx.salvage.bytes_consumed =
-            std::min(line_offset, idx.salvage.bytes_total);
-        finalize_wild();
-        return idx;
-      }
-      if (distributing) {
-        if (merged && (a.pid < 0 || a.pid >= merged_nprocs)) {
-          distributing = false;
-          wild_error = wild_pid_message(path, a.pid, merged_nprocs);
-        } else {
-          seg.add(a.pid, line_offset);
-          if (seg.overflow) return fallback_index(path);
-          ++idx.total_actions;
-          idx.stats.account(a);
-        }
-      }
-    }
-  }
-  if (mode == DecodeMode::strict) {
-    if (!wild_error.empty()) throw ParseError(wild_error);
-    idx.salvage.bytes_consumed = idx.salvage.bytes_total;
-    return idx;
-  }
-  idx.salvage.bytes_consumed = idx.salvage.bytes_total;  // clean to EOF
-  finalize_wild();
-  return idx;
-}
-
-StreamIndex build_binary_index(const std::filesystem::path& path,
-                               DecodeMode mode, int merged_nprocs) {
-  StreamIndex idx;
-  idx.kind = StreamIndex::Kind::binary;
-  idx.path = path;
-  idx.salvage.bytes_total = file_size_or_zero(path);
-
-  std::optional<BinaryTraceReader> reader;
+/// Opens the reader and calls `step(reader)` until it returns false. A
+/// decode error ends the pass: strict mode rethrows it, lenient mode keeps
+/// what came before the record (or compact block) the reader rejected.
+template <typename Reader, typename Step>
+SalvageInfo run_pass(const std::filesystem::path& path, Pass& pass,
+                     Step step) {
+  std::optional<Reader> reader;
   try {
     reader.emplace(path);
-  } catch (const Error& e) {  // bad version / unreadable header
-    if (mode == DecodeMode::strict) throw;
-    idx.salvage.complete = false;
-    idx.salvage.error = e.what();
-    return idx;
-  }
-  idx.default_pid = reader->default_pid();
-
-  const bool merged = merged_nprocs >= 0;
-  SegmentBuilder seg{idx.segments, merged};
-  bool distributing = true;
-  std::string wild_error;  // same deferred-throw rule as the text builder
-  const auto finalize_wild = [&] {
-    if (wild_error.empty()) return;
-    idx.salvage.complete = false;
-    if (idx.salvage.error.empty()) idx.salvage.error = wild_error;
-  };
-
-  for (;;) {
-    const std::uint64_t offset = reader->byte_offset();
-    std::optional<Action> a;
-    try {
-      a = reader->next();
-    } catch (const Error& e) {
-      if (mode == DecodeMode::strict) throw;
-      idx.salvage.complete = false;
-      idx.salvage.error = e.what();
-      idx.salvage.bytes_consumed = std::min(offset, idx.salvage.bytes_total);
-      finalize_wild();
-      return idx;
+    while (step(*reader)) {
     }
-    if (!a) break;
-    if (!distributing) continue;
-    if (merged && (a->pid < 0 || a->pid >= merged_nprocs)) {
-      distributing = false;
-      wild_error = wild_pid_message(path, a->pid, merged_nprocs);
-      continue;
-    }
-    seg.add(a->pid, offset);
-    if (seg.overflow) return fallback_index(path);
-    ++idx.total_actions;
-    idx.stats.account(*a);
+  } catch (const Error& e) {
+    if (pass.strict()) throw;
+    return pass.fail(e, reader ? reader->record_offset() : 0);
   }
-  if (mode == DecodeMode::strict) {
-    if (!wild_error.empty()) throw ParseError(wild_error);
-    idx.salvage.bytes_consumed = idx.salvage.bytes_total;
-    return idx;
-  }
-  idx.salvage.bytes_consumed = idx.salvage.bytes_total;
-  finalize_wild();
-  return idx;
+  return pass.finish();
 }
+
+/// The scan: one pass over any format's reader into `sink`.
+template <typename Sink>
+SalvageInfo scan(const std::filesystem::path& path, DecodeMode mode,
+                 int merged_nprocs, Sink& sink) {
+  Pass pass(path, mode, merged_nprocs);
+  const std::string_view format = codec_for_file(path).name();
+  if (format == "compact") {
+    // In the merged layout a wild pid is found in a body's first
+    // repetition, where the expansion meets it first.
+    std::vector<Action> body;
+    return run_pass<CompactTraceReader>(
+        path, pass, [&](CompactTraceReader& reader) {
+          const auto block = reader.next_block();
+          if (!block) return false;
+          reader.read_body(*block, body);
+          if (block->repeat == 0 || body.empty()) return true;
+          const auto where = [&] { return reader.where(); };
+          const auto wild = std::find_if_not(
+              body.begin(), body.end(),
+              [&](const Action& a) { return pass.distribute(a, where); });
+          const auto kept = static_cast<std::uint64_t>(wild - body.begin());
+          if (wild == body.end())
+            sink.block(*block, body);
+          else if (kept > 0)
+            sink.block(CompactBlock{block->offset, 1, kept},
+                       std::span<const Action>(body.data(), kept));
+          return true;
+        });
+  }
+  const auto records = [&](auto& reader) {
+    const auto a = reader.next();
+    if (!a) return false;
+    if (pass.distribute(*a, [&] { return reader.where(); }))
+      sink.record(*a, reader.record_offset());
+    return true;
+  };
+  if (format == "binary")
+    return run_pass<BinaryTraceReader>(path, pass, records);
+  return run_pass<TextTraceReader>(path, pass, records);
+}
+
+/// Materialising consumer: appends each action to its process's vector.
+/// Compact blocks are kept as a program and expanded once at the end, so a
+/// split file's stream is reserved at its exact expanded size.
+struct Materialise {
+  std::vector<std::vector<Action>>& out;
+  CompactProgram program;
+
+  std::vector<Action>& stream(const Action& a) {
+    return out.size() == 1 ? out[0] : out[static_cast<std::size_t>(a.pid)];
+  }
+  void record(const Action& a, std::uint64_t /*offset*/) {
+    stream(a).push_back(a);
+  }
+  void block(const CompactBlock& b, std::span<const Action> body) {
+    program.push_back(LoopBlock{b.repeat, {body.begin(), body.end()}});
+  }
+  void expand_program() {
+    if (program.empty()) return;
+    std::vector<Action> all = expand(program);
+    if (out.size() == 1) {
+      out[0] = std::move(all);
+      return;
+    }
+    for (const Action& a : all) stream(a).push_back(a);
+  }
+};
+
+/// Thrown by the indexing consumer when a file needs more segments than
+/// the cap allows.
+struct Unstreamable {};
 
 void add_scaled(TraceStats& total, const TraceStats& body,
                 std::uint32_t count) {
@@ -290,191 +167,41 @@ void add_scaled(TraceStats& total, const TraceStats& body,
   total.total_bytes_sent += body.total_bytes_sent * count;
 }
 
-StreamIndex build_compact_index(const std::filesystem::path& path,
-                                DecodeMode mode, int merged_nprocs) {
-  StreamIndex idx;
-  idx.kind = StreamIndex::Kind::compact;
-  idx.path = path;
-  idx.salvage.bytes_total = file_size_or_zero(path);
-  // A merged compact file interleaves pids inside loop bodies; per-pid
-  // segments don't apply, so the whole set falls back to materialising.
-  if (merged_nprocs >= 0) return fallback_index(path);
+/// Indexing consumer: per-pid segments (split files collapse into one run,
+/// pids kept verbatim) or compact blocks, plus counts and statistics.
+struct Indexer {
+  StreamIndex& idx;
+  bool merged;
 
-  try {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-      throw IoError("cannot open compact trace '" + path.string() + "'");
-    char magic[4];
-    in.read(magic, 4);
-    if (in.gcount() != 4 || std::memcmp(magic, "TIRC", 4) != 0)
-      throw ParseError(path.string() + ": not a compact TIR trace");
-    if (in.get() != 1)
-      throw ParseError(path.string() + ": unsupported compact-trace version");
-    const auto get_varint = [&in, &path]() -> std::uint64_t {
-      std::uint64_t value = 0;
-      int shift = 0;
-      for (;;) {
-        const int byte = in.get();
-        if (byte == EOF)
-          throw ParseError(path.string() + ": truncated varint");
-        value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-        if ((byte & 0x80) == 0) return value;
-        shift += 7;
-        if (shift > 63)
-          throw ParseError(path.string() + ": varint overflow");
-      }
-    };
-    get_varint();  // header pid (informational)
-    const std::uint64_t blocks = get_varint();
-    idx.blocks.reserve(std::min<std::uint64_t>(blocks, 1 << 20));
-    std::string line;
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-      StreamIndex::Block block;
-      block.offset = static_cast<std::uint64_t>(in.tellg());
-      // Same uint32 narrowing as read_compact: the expansion must agree.
-      block.repeat = static_cast<std::uint32_t>(get_varint());
-      block.body_actions = get_varint();
-      TraceStats body_stats;
-      for (std::uint64_t k = 0; k < block.body_actions; ++k) {
-        line.resize(get_varint());
-        in.read(line.data(), static_cast<std::streamsize>(line.size()));
-        if (static_cast<std::uint64_t>(in.gcount()) != line.size())
-          throw ParseError(path.string() + ": truncated action");
-        body_stats.account(parse_line(line));
-      }
-      idx.blocks.push_back(block);
-      idx.total_actions +=
-          static_cast<std::uint64_t>(block.repeat) * block.body_actions;
-      add_scaled(idx.stats, body_stats, block.repeat);
+  void record(const Action& a, std::uint64_t offset) {
+    const int key = merged ? a.pid : -1;
+    if (idx.segments.empty() || idx.segments.back().pid != key) {
+      if (idx.segments.size() >= kMaxStreamSegments) throw Unstreamable{};
+      idx.segments.push_back({key, offset, 0});
     }
-    idx.salvage.bytes_consumed = idx.salvage.bytes_total;
-  } catch (const std::exception& e) {
-    if (mode == DecodeMode::strict) throw;
-    // All-or-nothing, matching the codec's default decode_salvage: a
-    // length-prefixed container either decodes cleanly or salvages nothing.
-    idx.blocks.clear();
-    idx.total_actions = 0;
-    idx.stats = TraceStats{};
-    idx.salvage.complete = false;
-    idx.salvage.error = e.what();
-    idx.salvage.bytes_consumed = 0;
+    ++idx.segments.back().count;
+    ++idx.total_actions;
+    idx.stats.account(a);
   }
-  return idx;
-}
+  void block(const CompactBlock& b, std::span<const Action> body) {
+    idx.blocks.push_back(b);
+    TraceStats body_stats;
+    for (const Action& a : body) body_stats.account(a);
+    add_scaled(idx.stats, body_stats, b.repeat);
+    idx.total_actions += static_cast<std::uint64_t>(b.repeat) * body.size();
+  }
+};
 
 // ---------------------------------------------------------------------------
 // Cursors
 
-/// Text cursor: mmaps the file (read-only, private) and scans lines with
-/// memchr from each segment's offset; where mmap is unavailable or fails it
-/// degrades to a seek+getline ifstream — still bounded (one line resident).
-class MmapTextSource final : public ActionSource {
+/// Text and binary cursor: the format's reader, seeked to each of the pid's
+/// segments in turn.
+template <typename Reader>
+class SegmentSource final : public ActionSource {
  public:
-  MmapTextSource(std::shared_ptr<const StreamIndex> index, int pid_filter,
-                 std::shared_ptr<void> owner)
-      : owner_(std::move(owner)),
-        index_(std::move(index)),
-        pid_filter_(pid_filter) {}
-
-  ~MmapTextSource() override {
-#if TIR_HAVE_MMAP
-    if (mapped_) ::munmap(const_cast<char*>(data_), size_);
-#endif
-  }
-
-  std::optional<Action> next() override {
-    for (;;) {
-      while (remaining_ == 0) {
-        if (!enter_next_segment()) return std::nullopt;
-      }
-      const auto line = next_line();
-      if (!line) return std::nullopt;  // file shrank under us
-      const auto trimmed = str::trim(*line);
-      if (trimmed.empty() || trimmed[0] == '#') continue;
-      --remaining_;
-      return parse_line(trimmed);
-    }
-  }
-
- private:
-  bool enter_next_segment() {
-    const auto& segments = index_->segments;
-    while (seg_ < segments.size() &&
-           !(pid_filter_ < 0 || segments[seg_].pid == pid_filter_))
-      ++seg_;
-    if (seg_ >= segments.size()) return false;
-    if (!opened_) open_file();
-    const std::uint64_t offset = segments[seg_].offset;
-    if (mapped_) {
-      pos_ = static_cast<std::size_t>(std::min<std::uint64_t>(offset, size_));
-    } else if (in_.is_open()) {
-      in_.clear();
-      in_.seekg(static_cast<std::streamoff>(offset));
-    }
-    remaining_ = segments[seg_].count;
-    ++seg_;
-    return true;
-  }
-
-  void open_file() {
-    opened_ = true;
-#if TIR_HAVE_MMAP
-    const int fd = ::open(index_->path.c_str(), O_RDONLY);
-    if (fd >= 0) {
-      struct stat st{};
-      if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-        void* p = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                         PROT_READ, MAP_PRIVATE, fd, 0);
-        if (p != MAP_FAILED) {
-          data_ = static_cast<const char*>(p);
-          size_ = static_cast<std::size_t>(st.st_size);
-          mapped_ = true;
-        }
-      }
-      ::close(fd);
-      if (mapped_) return;
-    }
-#endif
-    in_.open(index_->path, std::ios::binary);
-  }
-
-  std::optional<std::string_view> next_line() {
-    if (mapped_) {
-      if (pos_ >= size_) return std::nullopt;
-      const char* start = data_ + pos_;
-      const auto* nl = static_cast<const char*>(
-          std::memchr(start, '\n', size_ - pos_));
-      const std::size_t len =
-          nl ? static_cast<std::size_t>(nl - start) : size_ - pos_;
-      pos_ += len + (nl ? 1 : 0);
-      return std::string_view(start, len);
-    }
-    if (!in_.is_open() || !std::getline(in_, line_)) return std::nullopt;
-    return std::string_view(line_);
-  }
-
-  std::shared_ptr<void> owner_;
-  std::shared_ptr<const StreamIndex> index_;
-  int pid_filter_;
-  std::size_t seg_ = 0;
-  std::uint64_t remaining_ = 0;
-  bool opened_ = false;
-  // mmap state
-  const char* data_ = nullptr;
-  std::size_t size_ = 0;
-  std::size_t pos_ = 0;
-  bool mapped_ = false;
-  // ifstream fallback
-  std::ifstream in_;
-  std::string line_;
-};
-
-/// Binary cursor: one BinaryTraceReader (so record decoding is byte-for-byte
-/// the materialised path's), seeked to each of the pid's segments in turn.
-class BinarySegmentSource final : public ActionSource {
- public:
-  BinarySegmentSource(std::shared_ptr<const StreamIndex> index,
-                      int pid_filter, std::shared_ptr<void> owner)
+  SegmentSource(std::shared_ptr<const StreamIndex> index, int pid_filter,
+                std::shared_ptr<void> owner)
       : owner_(std::move(owner)),
         index_(std::move(index)),
         pid_filter_(pid_filter) {}
@@ -499,7 +226,7 @@ class BinarySegmentSource final : public ActionSource {
   std::shared_ptr<void> owner_;
   std::shared_ptr<const StreamIndex> index_;
   int pid_filter_;
-  std::optional<BinaryTraceReader> reader_;
+  std::optional<Reader> reader_;
   std::size_t seg_ = 0;
   std::uint64_t remaining_ = 0;
 };
@@ -518,72 +245,50 @@ class CompactBlockSource final : public ActionSource {
       if (repeats_left_ > 0) {
         if (offset_ < body_.size()) return body_[offset_++];
         offset_ = 0;
-        --repeats_left_;
-        if (repeats_left_ > 0) return body_[offset_++];
+        if (--repeats_left_ > 0) return body_[offset_++];
       }
-      if (!load_next_block()) return std::nullopt;
+      if (block_ >= index_->blocks.size()) return std::nullopt;
+      const CompactBlock& blk = index_->blocks[block_++];
+      if (!reader_) reader_.emplace(index_->path);
+      reader_->reread(blk, body_);
+      repeats_left_ = blk.repeat;
+      offset_ = 0;
     }
   }
 
  private:
-  std::uint64_t get_varint() {
-    std::uint64_t value = 0;
-    int shift = 0;
-    for (;;) {
-      const int byte = in_.get();
-      if (byte == EOF)
-        throw ParseError(index_->path.string() + ": truncated varint");
-      value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) return value;
-      shift += 7;
-      if (shift > 63)
-        throw ParseError(index_->path.string() + ": varint overflow");
-    }
-  }
-
-  bool load_next_block() {
-    const auto& blocks = index_->blocks;
-    while (block_ < blocks.size()) {
-      const StreamIndex::Block& blk = blocks[block_++];
-      if (blk.repeat == 0 || blk.body_actions == 0) continue;
-      if (!opened_) {
-        opened_ = true;
-        in_.open(index_->path, std::ios::binary);
-        if (!in_)
-          throw IoError("cannot open compact trace '" +
-                        index_->path.string() + "'");
-      }
-      in_.clear();
-      in_.seekg(static_cast<std::streamoff>(blk.offset));
-      get_varint();  // repeat count (held in the index)
-      get_varint();  // body length
-      body_.clear();
-      for (std::uint64_t k = 0; k < blk.body_actions; ++k) {
-        line_.resize(get_varint());
-        in_.read(line_.data(), static_cast<std::streamsize>(line_.size()));
-        if (static_cast<std::uint64_t>(in_.gcount()) != line_.size())
-          throw ParseError(index_->path.string() + ": truncated action");
-        body_.push_back(parse_line(line_));
-      }
-      repeats_left_ = blk.repeat;
-      offset_ = 0;
-      return true;
-    }
-    return false;
-  }
-
   std::shared_ptr<void> owner_;
   std::shared_ptr<const StreamIndex> index_;
-  std::ifstream in_;
-  bool opened_ = false;
+  std::optional<CompactTraceReader> reader_;
   std::size_t block_ = 0;
   std::vector<Action> body_;
-  std::string line_;
   std::uint32_t repeats_left_ = 0;
   std::size_t offset_ = 0;
 };
 
 }  // namespace
+
+SalvageInfo materialise_file(const std::filesystem::path& path,
+                             DecodeMode mode, int merged_nprocs,
+                             std::vector<std::vector<Action>>& out) {
+  out.assign(merged_nprocs < 0 ? 1 : static_cast<std::size_t>(merged_nprocs),
+             {});
+  Materialise sink{out, {}};
+  const SalvageInfo info = scan(path, mode, merged_nprocs, sink);
+  sink.expand_program();
+  return info;
+}
+
+std::vector<Action> read_all(const std::filesystem::path& file,
+                             int pid_filter) {
+  std::vector<std::vector<Action>> out;
+  materialise_file(file, DecodeMode::strict, -1, out);
+  std::vector<Action>& actions = out[0];
+  if (pid_filter >= 0)
+    std::erase_if(actions,
+                  [&](const Action& a) { return a.pid != pid_filter; });
+  return std::move(actions);
+}
 
 std::uint64_t StreamIndex::action_count(int pid) const {
   if (kind == Kind::compact) return total_actions;
@@ -595,18 +300,30 @@ std::uint64_t StreamIndex::action_count(int pid) const {
 
 std::uint64_t StreamIndex::resident_bytes() const {
   return sizeof(StreamIndex) + segments.capacity() * sizeof(Segment) +
-         blocks.capacity() * sizeof(Block) +
+         blocks.capacity() * sizeof(CompactBlock) +
          path.native().capacity() + salvage.error.capacity();
 }
 
 StreamIndex build_stream_index(const std::filesystem::path& path,
                                DecodeMode mode, int merged_nprocs) {
-  // Same sniffing order as codec_for_file: magic-bearing formats first.
-  if (is_binary_trace(path))
-    return build_binary_index(path, mode, merged_nprocs);
-  if (is_compact_trace(path))
-    return build_compact_index(path, mode, merged_nprocs);
-  return build_text_index(path, mode, merged_nprocs);
+  StreamIndex idx;
+  idx.path = path;
+  const std::string_view format = codec_for_file(path).name();
+  // A merged compact file interleaves pids inside loop bodies; per-pid
+  // segments don't apply, so the whole set falls back to materialising.
+  if (format == "compact" && merged_nprocs >= 0) return idx;
+  Indexer sink{idx, merged_nprocs >= 0};
+  try {
+    idx.salvage = scan(path, mode, merged_nprocs, sink);
+  } catch (const Unstreamable&) {
+    StreamIndex fallback;
+    fallback.path = path;
+    return fallback;
+  }
+  idx.kind = format == "compact"  ? StreamIndex::Kind::compact
+             : format == "binary" ? StreamIndex::Kind::binary
+                                  : StreamIndex::Kind::text;
+  return idx;
 }
 
 std::unique_ptr<ActionSource> open_stream(
@@ -614,12 +331,11 @@ std::unique_ptr<ActionSource> open_stream(
     std::shared_ptr<void> owner) {
   switch (index->kind) {
     case StreamIndex::Kind::text:
-      return std::make_unique<MmapTextSource>(std::move(index), pid_filter,
-                                              std::move(owner));
+      return std::make_unique<SegmentSource<TextTraceReader>>(
+          std::move(index), pid_filter, std::move(owner));
     case StreamIndex::Kind::binary:
-      return std::make_unique<BinarySegmentSource>(std::move(index),
-                                                   pid_filter,
-                                                   std::move(owner));
+      return std::make_unique<SegmentSource<BinaryTraceReader>>(
+          std::move(index), pid_filter, std::move(owner));
     case StreamIndex::Kind::compact:
       return std::make_unique<CompactBlockSource>(std::move(index),
                                                   std::move(owner));

@@ -1,21 +1,25 @@
-// Streaming decode: per-file skip indexes and cursor-backed ActionSources.
+// Trace decoding: one scan per file, two memory shapes.
 //
-// At NPB class D/E sizes a trace stops fitting in RAM, so TraceSet grows a
-// second decode path: one cheap validating pass per file builds a
-// StreamIndex — per-pid byte-offset segments for the text/binary codecs,
-// per-block offsets for the compact ("TIRC") codec, plus the action counts
-// and aggregate statistics every consumer (digest, stats, coverage) needs
-// up front — and replay then pulls actions through cursors that re-read the
-// file from those offsets instead of materialised vectors. Peak memory is
-// the index plus one cursor's working set (a text line, a binary record, or
-// one compact block body), independent of trace length.
+// Each format has one record reader (TextTraceReader, BinaryTraceReader,
+// CompactTraceReader). One scan walks any of them, owning the decode mode's
+// error policy (strict throws, lenient keeps the clean prefix),
+// bytes_consumed, the "<file>:<where>: <reason>" messages and the merged
+// layout's pid rule. The scan feeds one of two consumers:
+//   - materialise_file: the pass appends each action to its process's
+//     vector (read_all and TraceSet's materialise policy);
+//   - build_stream_index: the same pass records per-pid byte-offset
+//     segments (text, binary) or loop-block offsets (compact) plus the
+//     action counts and statistics every consumer needs up front; cursors
+//     then seek the same reader in bounded memory, which is how a trace too
+//     large for RAM (NPB class D/E) replays. Peak memory is the index plus
+//     one cursor's working set (a line, a record, or one compact body).
 //
-// Fidelity contract: the indexed pass surfaces exactly the errors the
-// materialised decode would (same exception types and messages, same
-// lenient-salvage truncation points), and a cursor yields an action
-// sequence element-identical to TraceSet::actions(pid). The differential
-// batteries in tests/stream_trace_test.cpp and tests/codec_fuzz_test.cpp
-// hold both paths to that contract.
+// Fidelity: both shapes come from the same pass over the same reader, so
+// they see the same errors (same exception types and messages, same
+// lenient truncation points), and a cursor re-reads exactly the records the
+// pass accepted: its sequence is element-identical to the materialised
+// TraceSet::actions(pid). tests/stream_trace_test.cpp and
+// tests/codec_fuzz_test.cpp check the two shapes against each other.
 #pragma once
 
 #include <cstdint>
@@ -23,9 +27,20 @@
 #include <memory>
 #include <vector>
 
+#include "trace/compact.hpp"
 #include "trace/trace_set.hpp"
 
 namespace tir::trace {
+
+/// Decodes a whole file in one pass. `merged_nprocs < 0` decodes a
+/// split-layout file into out[0], record pids kept verbatim;
+/// `merged_nprocs >= 0` distributes into out[pid] (out is resized to
+/// nprocs), and a pid outside [0, nprocs) is corruption — strict mode throws
+/// (after any parse error later in the file, which outranks it), lenient
+/// mode stops distributing there. Returns the file's salvage outcome.
+SalvageInfo materialise_file(const std::filesystem::path& path,
+                             DecodeMode mode, int merged_nprocs,
+                             std::vector<std::vector<Action>>& out);
 
 /// One file's skip index. Text and binary files index as pid *segments*
 /// (maximal runs of one process's records, so a merged file streams per pid
@@ -46,18 +61,11 @@ struct StreamIndex {
     std::uint64_t count = 0;   ///< actions in the run
   };
 
-  struct Block {
-    std::uint64_t offset = 0;        ///< byte offset of the block header
-    std::uint32_t repeat = 0;        ///< loop count
-    std::uint64_t body_actions = 0;  ///< actions per repetition
-  };
-
   Kind kind = Kind::fallback;
   std::filesystem::path path;
-  int default_pid = -1;  ///< binary header pid; -1 = per-record pids
 
-  std::vector<Segment> segments;  ///< text / binary
-  std::vector<Block> blocks;      ///< compact
+  std::vector<Segment> segments;     ///< text / binary
+  std::vector<CompactBlock> blocks;  ///< compact (non-empty blocks only)
 
   /// Actions the indexed (clean, distributed) part of the file holds; for
   /// compact files this is the *expanded* count.
@@ -68,7 +76,7 @@ struct StreamIndex {
   /// records) even for a 10^8-action trace.
   TraceStats stats;
 
-  /// Same values the materialised lenient decode would report.
+  /// The scan's salvage outcome (what materialise_file would report).
   SalvageInfo salvage;
 
   /// Actions belonging to `pid` (merged layout: sum over its segments).
@@ -86,13 +94,9 @@ struct StreamIndex {
 /// materialised instead — the index must never grow with trace length.
 constexpr std::size_t kMaxStreamSegments = 65536;
 
-/// Builds the index in one validating pass. `merged_nprocs < 0` indexes a
-/// split-layout file (per-record pids kept verbatim, no range checks);
-/// `merged_nprocs >= 0` applies merged semantics: actions split into
-/// per-pid segments and a pid outside [0, nprocs) is corruption — strict
-/// mode throws, lenient mode truncates, with the messages and salvage
-/// byte counts matching the materialised decode exactly. Merged compact
-/// files are not streamable (loop bodies interleave pids) and come back as
+/// Builds the index in the same scan; `mode` and `merged_nprocs` mean
+/// what they mean for materialise_file. Merged compact files are not
+/// streamable (loop bodies interleave pids) and come back as
 /// Kind::fallback.
 StreamIndex build_stream_index(const std::filesystem::path& path,
                                DecodeMode mode, int merged_nprocs);

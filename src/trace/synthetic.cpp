@@ -104,21 +104,18 @@ std::vector<std::filesystem::path> write_synthetic_traces(
     const auto path =
         dir / ("SG_process" + std::to_string(pid) + ".trace");
     const CompactProgram program = synthetic_program(spec, pid);
-    if (codec == "compact") {
+    const auto expand_into = [&program](auto&& writer) {
+      for (const LoopBlock& block : program)
+        for (std::uint32_t r = 0; r < block.count; ++r)
+          for (const Action& a : block.body) writer.write(a);
+      writer.close();
+    };
+    if (codec == "compact")
       write_compact(path, program, pid);
-    } else if (codec == "text") {
-      TextTraceWriter writer(path);
-      for (const LoopBlock& block : program)
-        for (std::uint32_t r = 0; r < block.count; ++r)
-          for (const Action& a : block.body) writer.write(a);
-      writer.close();
-    } else {
-      BinaryTraceWriter writer(path, pid);
-      for (const LoopBlock& block : program)
-        for (std::uint32_t r = 0; r < block.count; ++r)
-          for (const Action& a : block.body) writer.write(a);
-      writer.close();
-    }
+    else if (codec == "text")
+      expand_into(TextTraceWriter(path));
+    else
+      expand_into(BinaryTraceWriter(path, pid));
     paths.push_back(path);
   }
   return paths;

@@ -42,28 +42,34 @@ std::uint64_t TextTraceWriter::close() {
   return bytes_;
 }
 
-TextTraceReader::TextTraceReader(const std::filesystem::path& path,
-                                 int pid_filter)
-    : in_(path, std::ios::binary), path_(path), pid_filter_(pid_filter) {
-  if (!in_) throw IoError("cannot open trace file '" + path.string() + "'");
-}
+TextTraceReader::TextTraceReader(const std::filesystem::path& path)
+    : in_(path) {}
 
 std::optional<Action> TextTraceReader::next() {
-  while (std::getline(in_, line_)) {
+  for (;;) {
+    in_.mark();
+    const auto line = in_.line();
+    if (!line) return std::nullopt;
     ++line_no_;
-    const auto trimmed = str::trim(line_);
+    const auto trimmed = str::trim(*line);
     if (trimmed.empty() || trimmed[0] == '#') continue;
-    Action action;
     try {
-      action = parse_line(trimmed);
+      return parse_line(trimmed);
     } catch (const ParseError& e) {
-      throw ParseError(path_.string() + ":" + std::to_string(line_no_) +
-                       ": " + e.what());
+      throw ParseError(where() + ": " + e.what());
     }
-    if (pid_filter_ >= 0 && action.pid != pid_filter_) continue;
-    return action;
   }
-  return std::nullopt;
+}
+
+std::string TextTraceReader::where() const {
+  if (!lines_known_) return byte_location(in_.path(), in_.marked());
+  return in_.path().string() + ":" + std::to_string(line_no_);
+}
+
+void TextTraceReader::seek(std::uint64_t offset) {
+  in_.seek(offset);
+  line_no_ = 0;
+  lines_known_ = offset == 0;
 }
 
 std::vector<std::filesystem::path> write_split_traces(
@@ -87,14 +93,6 @@ void write_merged_trace(const std::filesystem::path& file,
   for (const auto& actions : per_process)
     for (const Action& a : actions) writer.write(a);
   writer.close();
-}
-
-std::vector<Action> read_all(const std::filesystem::path& file,
-                             int pid_filter) {
-  TextTraceReader reader(file, pid_filter);
-  std::vector<Action> actions;
-  while (auto a = reader.next()) actions.push_back(*a);
-  return actions;
 }
 
 }  // namespace tir::trace

@@ -1,4 +1,4 @@
-// Text trace I/O: buffered per-process writers and a streaming reader.
+// Text trace I/O: buffered per-process writers and the record reader.
 //
 // The canonical layout is one file per process (SG_process<i>.trace), as
 // the paper recommends for large traces; a merged single-file layout (the
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "trace/action.hpp"
+#include "trace/file_bytes.hpp"
 
 namespace tir::trace {
 
@@ -40,23 +41,32 @@ class TextTraceWriter {
   bool closed_ = false;
 };
 
-/// Pull-based reader over one text trace file. Skips blank lines and
-/// '#' comments. `pid_filter` (>= 0) keeps only that process's actions —
-/// used when several processes share a merged file.
+/// The text format's record reader: pulls actions out of one text trace
+/// file, skipping blank lines and '#' comments. Every text decode (whole
+/// file, index pass, streaming cursor) reads through it.
 class TextTraceReader {
  public:
-  explicit TextTraceReader(const std::filesystem::path& path,
-                           int pid_filter = -1);
+  /// Throws tir::IoError when the file cannot be opened.
+  explicit TextTraceReader(const std::filesystem::path& path);
 
-  /// Next action, or nullopt at end of file.
+  /// Next action, or nullopt at end of file. Throws tir::ParseError
+  /// "<file>:<line>: <reason>".
   std::optional<Action> next();
 
+  /// Byte offset of the line next() last returned or rejected.
+  std::uint64_t record_offset() const { return in_.marked(); }
+
+  /// "<file>:<line>" of that line; "<file>: byte <offset>" after a seek,
+  /// which loses count of the lines.
+  std::string where() const;
+
+  /// Repositions to a record_offset() taken in an earlier pass.
+  void seek(std::uint64_t offset);
+
  private:
-  std::ifstream in_;
-  std::string line_;
-  std::filesystem::path path_;
-  int pid_filter_;
+  FileBytes in_;
   std::uint64_t line_no_ = 0;
+  bool lines_known_ = true;  ///< false after a seek past the first line
 };
 
 /// Writes one file per process under `dir` using the canonical
@@ -68,9 +78,5 @@ std::vector<std::filesystem::path> write_split_traces(
 /// Writes everything into one merged file (process order preserved).
 void write_merged_trace(const std::filesystem::path& file,
                         const std::vector<std::vector<Action>>& per_process);
-
-/// Loads a whole trace file into memory (small traces, tests).
-std::vector<Action> read_all(const std::filesystem::path& file,
-                             int pid_filter = -1);
 
 }  // namespace tir::trace

@@ -4,7 +4,6 @@
 #include <mutex>
 
 #include "support/error.hpp"
-#include "trace/codec.hpp"
 #include "trace/compact.hpp"
 #include "trace/stream.hpp"
 
@@ -70,6 +69,26 @@ struct TraceSet::Storage {
   std::vector<std::shared_ptr<const StreamIndex>> index;  // one per file
   std::atomic<std::uint64_t> index_builds{0};
 
+  static std::shared_ptr<Storage> from_files(
+      Layout layout, int nprocs, std::vector<std::filesystem::path> files,
+      DecodeMode mode, DecodePolicy policy) {
+    auto s = std::make_shared<Storage>();
+    s->layout = layout;
+    s->nprocs = nprocs;
+    s->mode = mode;
+    s->policy = policy;
+    s->files = std::move(files);
+    s->decoded.resize(static_cast<std::size_t>(nprocs));
+    s->salvage.resize(s->files.size());
+    s->decode_once = std::make_unique<std::once_flag[]>(s->files.size());
+    return s;
+  }
+
+  /// The file holding process `pid`'s actions.
+  std::size_t file_of(int pid) const {
+    return layout == Layout::merged ? 0 : static_cast<std::size_t>(pid);
+  }
+
   bool wants_stream() const {
     if (layout == Layout::memory) return false;
     if (policy == DecodePolicy::materialise) return false;
@@ -79,9 +98,7 @@ struct TraceSet::Storage {
     std::uint64_t bytes = 0;
     std::uint64_t expanded = 0;
     for (const auto& f : files) {
-      std::error_code ec;
-      const auto size = std::filesystem::file_size(f, ec);
-      if (!ec) bytes += size;
+      bytes += file_size_or_zero(f);
       if (is_compact_trace(f)) expanded += compact_expanded_hint(f);
     }
     return bytes > kAutoStreamBytes || expanded > kAutoStreamActions;
@@ -109,72 +126,31 @@ struct TraceSet::Storage {
     });
   }
 
-  /// Decodes one file honouring the mode: strict throws on corrupt input,
-  /// lenient keeps the clean prefix and records the outcome in `salvage`.
-  std::vector<Action> decode_file(std::size_t index) {
-    const auto& path = files[index];
-    if (mode == DecodeMode::strict) {
-      auto actions = codec_for_file(path).decode(path);
-      std::error_code ec;
-      const auto size = std::filesystem::file_size(path, ec);
-      salvage[index].bytes_consumed = salvage[index].bytes_total =
-          ec ? 0 : size;
-      return actions;
-    }
-    DecodedTrace result = codec_for_file(path).decode_salvage(path);
-    salvage[index].complete = result.complete;
-    salvage[index].error = std::move(result.error);
-    salvage[index].bytes_consumed = result.bytes_consumed;
-    salvage[index].bytes_total = result.bytes_total;
-    return std::move(result.actions);
-  }
-
-  /// Ensures process `pid`'s actions are decoded; returns them.
+  /// Ensures process `pid`'s actions are decoded; returns them. One
+  /// materialising pass per file (trace/stream.hpp); strict errors
+  /// propagate and leave the file undecoded, so the next call retries.
   const std::vector<Action>& process_actions(int pid) {
-    switch (layout) {
-      case Layout::memory:
-        break;
-      case Layout::split: {
-        const auto index = static_cast<std::size_t>(pid);
-        std::call_once(decode_once[index], [&] {
-          decoded[index] = decode_file(index);
-          decodes.fetch_add(1, std::memory_order_relaxed);
-        });
-        break;
-      }
-      case Layout::merged:
-        std::call_once(decode_once[0], [&] {
-          auto all = decode_file(0);
-          for (Action& a : all) {
-            if (a.pid < 0 || a.pid >= nprocs) {
-              const std::string what = files.front().string() +
-                                       ": action for process " +
-                                       std::to_string(a.pid) +
-                                       " but nprocs is " +
-                                       std::to_string(nprocs);
-              if (mode == DecodeMode::strict) throw ParseError(what);
-              // Lenient: a wild pid is corruption too — stop distributing
-              // here, keeping the consistent prefix.
-              salvage[0].complete = false;
-              if (salvage[0].error.empty()) salvage[0].error = what;
-              break;
-            }
-            decoded[static_cast<std::size_t>(a.pid)].push_back(std::move(a));
-          }
-          decodes.fetch_add(1, std::memory_order_relaxed);
-        });
-        break;
+    const bool merged = layout == Layout::merged;
+    if (layout != Layout::memory) {
+      const std::size_t file = file_of(pid);
+      std::call_once(decode_once[file], [&] {
+        std::vector<std::vector<Action>> out;
+        salvage[file] =
+            materialise_file(files[file], mode, merged ? nprocs : -1, out);
+        if (merged)
+          decoded = std::move(out);
+        else
+          decoded[file] = std::move(out[0]);
+        decodes.fetch_add(1, std::memory_order_relaxed);
+      });
     }
     return decoded[static_cast<std::size_t>(pid)];
   }
 
   /// Forces every file's decode (coverage/salvage reporting).
   void decode_all() {
-    if (layout == Layout::split) {
-      for (int p = 0; p < nprocs; ++p) process_actions(p);
-    } else if (layout == Layout::merged) {
-      process_actions(0);
-    }
+    if (layout == Layout::memory) return;
+    for (int p = 0; p < nprocs; ++p) process_actions(p);
   }
 };
 
@@ -228,17 +204,10 @@ TraceSet::~TraceSet() = default;
 TraceSet TraceSet::per_process_files(std::vector<std::filesystem::path> files,
                                      DecodeMode mode, DecodePolicy policy) {
   if (files.empty()) throw Error("TraceSet: no trace files");
+  const int nprocs = static_cast<int>(files.size());
   TraceSet set;
-  set.storage_ = std::make_shared<Storage>();
-  set.storage_->layout = Storage::Layout::split;
-  set.storage_->nprocs = static_cast<int>(files.size());
-  set.storage_->mode = mode;
-  set.storage_->policy = policy;
-  set.storage_->files = std::move(files);
-  set.storage_->decoded.resize(set.storage_->files.size());
-  set.storage_->salvage.resize(set.storage_->files.size());
-  set.storage_->decode_once =
-      std::make_unique<std::once_flag[]>(set.storage_->files.size());
+  set.storage_ = Storage::from_files(Storage::Layout::split, nprocs,
+                                     std::move(files), mode, policy);
   return set;
 }
 
@@ -246,15 +215,8 @@ TraceSet TraceSet::merged_file(std::filesystem::path file, int nprocs,
                                DecodeMode mode, DecodePolicy policy) {
   if (nprocs <= 0) throw Error("TraceSet: nprocs must be positive");
   TraceSet set;
-  set.storage_ = std::make_shared<Storage>();
-  set.storage_->layout = Storage::Layout::merged;
-  set.storage_->nprocs = nprocs;
-  set.storage_->mode = mode;
-  set.storage_->policy = policy;
-  set.storage_->files.push_back(std::move(file));
-  set.storage_->decoded.resize(static_cast<std::size_t>(nprocs));
-  set.storage_->salvage.resize(1);
-  set.storage_->decode_once = std::make_unique<std::once_flag[]>(1);
+  set.storage_ = Storage::from_files(Storage::Layout::merged, nprocs,
+                                     {std::move(file)}, mode, policy);
   return set;
 }
 
@@ -282,11 +244,8 @@ std::unique_ptr<ActionSource> TraceSet::open(int pid) const {
     throw Error("TraceSet: invalid process id " + std::to_string(pid));
   s.ensure_policy();
   if (s.effective_stream) {
-    const std::size_t file =
-        s.layout == Storage::Layout::split ? static_cast<std::size_t>(pid)
-                                           : 0;
     const int filter = s.layout == Storage::Layout::merged ? pid : -1;
-    return open_stream(s.index[file], filter, storage_);
+    return open_stream(s.index[s.file_of(pid)], filter, storage_);
   }
   return std::make_unique<DecodedSource>(storage_, &actions(pid));
 }
@@ -313,20 +272,14 @@ std::uint64_t TraceSet::action_count(int pid) const {
     throw Error("TraceSet: invalid process id " + std::to_string(pid));
   s.ensure_policy();
   if (s.effective_stream) {
-    if (s.layout == Storage::Layout::split)
-      return s.index[static_cast<std::size_t>(pid)]->total_actions;
-    return s.index[0]->action_count(pid);
+    return s.index[s.file_of(pid)]->action_count(pid);
   }
   return actions(pid).size();
 }
 
 std::uint64_t TraceSet::disk_bytes() const {
   std::uint64_t bytes = 0;
-  for (const auto& f : storage_->files) {
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(f, ec);
-    if (!ec) bytes += size;
-  }
+  for (const auto& f : storage_->files) bytes += file_size_or_zero(f);
   return bytes;
 }
 
@@ -362,21 +315,11 @@ std::uint64_t TraceSet::resident_bytes() const {
 }
 
 double TraceSet::coverage() const {
-  Storage& s = *storage_;
-  s.ensure_policy();
   std::uint64_t consumed = 0;
   std::uint64_t total = 0;
-  if (s.effective_stream) {
-    for (const auto& idx : s.index) {
-      consumed += idx->salvage.bytes_consumed;
-      total += idx->salvage.bytes_total;
-    }
-  } else {
-    s.decode_all();
-    for (const SalvageInfo& info : s.salvage) {
-      consumed += info.bytes_consumed;
-      total += info.bytes_total;
-    }
+  for (const SalvageInfo& info : salvage_report()) {
+    consumed += info.bytes_consumed;
+    total += info.bytes_total;
   }
   return total == 0 ? 1.0
                     : static_cast<double>(consumed) /

@@ -77,6 +77,14 @@ DecodePolicy parse_decode_policy(std::string_view text);
 /// Canonical spelling ("stream", "materialise", "auto").
 std::string_view to_string(DecodePolicy policy);
 
+/// Decodes a whole trace file of any format (text, binary or compact,
+/// detected by magic) into its actions in file order, in one pass. A
+/// `pid_filter` >= 0 keeps only that process's actions (merged files).
+/// Throws tir::IoError / tir::ParseError naming the file and the line or
+/// byte offset.
+std::vector<Action> read_all(const std::filesystem::path& file,
+                             int pid_filter = -1);
+
 /// Expands trace-path arguments into per-process files in pid order: a
 /// directory stands for its SG_process<i>.trace files, i = 0, 1, ... up to
 /// the first missing one (unlike a shell glob, which sorts SG_process10

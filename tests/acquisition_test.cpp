@@ -11,7 +11,7 @@
 #include "apps/stencil.hpp"
 #include "platform/cluster.hpp"
 #include "support/error.hpp"
-#include "trace/text_format.hpp"
+#include "trace/trace_set.hpp"
 
 using namespace tir;
 using namespace tir::acq;

@@ -5,15 +5,20 @@
 // on-disk format carried the trace, and the bounded-memory streaming
 // decoder yields element-identical sequences — including the salvage
 // truncation points lenient decode picks on corrupted files. Numeric edge
-// cases (nan, inf, -inf volumes) must be rejected by every codec.
+// cases (nan, inf, 1e999, negative volumes, integers that do not fit their
+// field, varint overflow, huge compact repeat counts) must be rejected by
+// every codec with the same error under both decode policies, and -0 must
+// decode as +0 everywhere.
 //
 // Seeds are logged on every run; reproduce one case with
 //   TIR_FUZZ_SEED=<seed> ./test_extended --gtest_filter='*CodecFuzz*'
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -165,7 +170,7 @@ TEST_P(CodecFuzz, EveryCodecRoundTripsExactly) {
       const fs::path file =
           dir_ / (std::string(codec->name()) + std::to_string(p) + ".trace");
       codec->encode(file, actions, p);
-      EXPECT_EQ(codec->decode(file), actions)
+      EXPECT_EQ(trace::read_all(file), actions)
           << codec->name() << " pid " << p;
       // Sniffing must route the file back to the codec that wrote it.
       EXPECT_EQ(trace::codec_for_file(file).name(), codec->name());
@@ -179,7 +184,7 @@ TEST_P(CodecFuzz, ReEncodingDecodedOutputIsAByteFixpoint) {
     const fs::path first = dir_ / ("fix1." + std::string(codec->name()));
     const fs::path second = dir_ / ("fix2." + std::string(codec->name()));
     codec->encode(first, actions, 0);
-    codec->encode(second, codec->decode(first), 0);
+    codec->encode(second, trace::read_all(first), 0);
     EXPECT_EQ(read_bytes(first), read_bytes(second)) << codec->name();
   }
 }
@@ -196,10 +201,15 @@ TEST_P(CodecFuzz, CrossCodecConversionChainPreservesTheStream) {
   const fs::path c = dir_ / "chain.ctrace";
   const fs::path d = dir_ / "chain2.trace";
   text.encode(a, actions, 1);
-  binary.encode(b, text.decode(a), 1);
-  compact.encode(c, binary.decode(b), 1);
-  text.encode(d, compact.decode(c), 1);
-  EXPECT_EQ(text.decode(d), actions);
+  binary.encode(b, trace::read_all(a), 1);
+  compact.encode(c, trace::read_all(b), 1);
+  text.encode(d, trace::read_all(c), 1);
+  EXPECT_EQ(trace::read_all(d), actions);
+  // Each hop was decoded by the codec that wrote it.
+  EXPECT_EQ(trace::codec_for_file(a).name(), "text");
+  EXPECT_EQ(trace::codec_for_file(b).name(), "binary");
+  EXPECT_EQ(trace::codec_for_file(c).name(), "compact");
+  EXPECT_EQ(trace::codec_for_file(d).name(), "text");
   EXPECT_EQ(read_bytes(a), read_bytes(d));
 }
 
@@ -269,7 +279,8 @@ TEST_P(CodecFuzz, StreamedLenientSalvageMatchesMaterialised) {
   // Truncate each codec's encoding of one stream at a random byte and
   // lenient-decode both ways: the streaming index must pick exactly the
   // same salvage point — same kept prefix, same bytes_consumed, same error
-  // text (compact is all-or-nothing; text and binary keep a clean prefix).
+  // text (text and binary keep the records before the cut, compact the
+  // loop blocks before it).
   Rng rng(GetParam() ^ 0x5a11a6e);
   for (const trace::TraceCodec* codec : trace::all_codecs()) {
     const auto& actions = program_[0];
@@ -329,11 +340,241 @@ TEST(CodecEdgeCases, NonFiniteVolumesAreRejectedEveryCodec) {
       SCOPED_TRACE(std::string(codec->name()) + " " + std::to_string(v));
       const fs::path file = dir / ("nonfinite." + std::string(codec->name()));
       codec->encode(file, actions, 0);
-      EXPECT_THROW(codec->decode(file), ParseError);
+      EXPECT_THROW(trace::read_all(file), ParseError);
       const auto streamed = trace::TraceSet::per_process_files(
           {file}, trace::DecodeMode::strict, trace::DecodePolicy::stream);
       EXPECT_THROW(drain(streamed, 0), ParseError);
     }
   }
   fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Numeric edge cases. Each case is a hand-made file of one codec; it must
+// decode to the same outcome under both decode policies — the same
+// exception type and message, or the same actions.
+
+namespace {
+
+/// What decoding a one-process file produced.
+struct Outcome {
+  std::string error;  ///< "<type>: <message>"; empty when it decoded
+  std::vector<Action> actions;
+
+  bool operator==(const Outcome&) const = default;
+};
+
+Outcome decode_outcome(const fs::path& file, trace::DecodePolicy policy) {
+  Outcome out;
+  try {
+    const auto set = trace::TraceSet::per_process_files(
+        {file}, trace::DecodeMode::strict, policy);
+    out.actions = drain(set, 0);
+  } catch (const IoError& e) {
+    out.error = std::string("IoError: ") + e.what();
+  } catch (const ParseError& e) {
+    out.error = std::string("ParseError: ") + e.what();
+  } catch (const Error& e) {
+    out.error = std::string("Error: ") + e.what();
+  }
+  return out;
+}
+
+/// Decodes `file` under both policies, expects them to agree, and returns
+/// the (shared) outcome.
+Outcome decode_both(const fs::path& file) {
+  const Outcome mat =
+      decode_outcome(file, trace::DecodePolicy::materialise);
+  const Outcome str = decode_outcome(file, trace::DecodePolicy::stream);
+  EXPECT_EQ(mat.error, str.error) << file;
+  EXPECT_EQ(mat.actions, str.actions) << file;
+  return mat;
+}
+
+std::string varint(std::uint64_t value) {
+  std::string out;
+  while (value >= 0x80) {
+    out.push_back(static_cast<char>((value & 0x7F) | 0x80));
+    value >>= 7;
+  }
+  out.push_back(static_cast<char>(value));
+  return out;
+}
+
+std::string raw_double(double v) {
+  std::string out(sizeof v, '\0');
+  std::memcpy(out.data(), &v, sizeof v);
+  return out;
+}
+
+/// A binary file with per-record pids holding `records` verbatim.
+std::string binary_file(const std::string& records) {
+  return std::string("TIRB") + '\x01' + varint(0) + records;
+}
+
+/// A compact file for pid 0 with one block: `repeat` x the body lines.
+std::string compact_file(std::uint64_t repeat,
+                         const std::vector<std::string>& body) {
+  std::string out = std::string("TIRC") + '\x01' + varint(0) + varint(1) +
+                    varint(repeat) + varint(body.size());
+  for (const std::string& line : body) out += varint(line.size()) + line;
+  return out;
+}
+
+constexpr char kSend = static_cast<char>(ActionType::send);
+constexpr char kComputeDouble = 0x10;  // compute, volume stored as a double
+constexpr char kCommSize = static_cast<char>(ActionType::comm_size);
+
+class CodecNumericEdges : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::temp_directory_path() /
+           ("tir_numeric_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    fs::create_directories(dir_);
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  fs::path write(const std::string& name, const std::string& bytes) {
+    const fs::path file = dir_ / name;
+    std::ofstream(file, std::ios::binary) << bytes;
+    return file;
+  }
+
+  /// Expects a ParseError under both policies whose message contains each
+  /// of `parts`.
+  void expect_rejected(const fs::path& file,
+                       const std::vector<std::string>& parts) {
+    const Outcome out = decode_both(file);
+    EXPECT_EQ(out.error.rfind("ParseError: " + file.string(), 0), 0u)
+        << out.error;
+    for (const std::string& part : parts)
+      EXPECT_NE(out.error.find(part), std::string::npos)
+          << "'" << part << "' not in " << out.error;
+  }
+
+  fs::path dir_;
+};
+
+}  // namespace
+
+// Integer fields that do not fit their type are decode errors naming the
+// file and the line or byte offset; they must never wrap (p4294967297 is
+// not p1). One test per codec.
+TEST_F(CodecNumericEdges, TextIntegersPastIntMaxAreRejected) {
+  expect_rejected(write("partner.trace", "p0 send p4294967297 100\n"),
+                  {":1: ", "partner '4294967297' out of range"});
+  expect_rejected(write("pid.trace", "p0 compute 1\np2147483648 compute 5\n"),
+                  {":2: ", "process id '2147483648' out of range"});
+  expect_rejected(write("comm.trace", "p0 comm_size 4294967298\n"),
+                  {":1: ", "comm_size '4294967298' out of range"});
+  expect_rejected(write("huge.trace", "p0 comm_size 99999999999999999999\n"),
+                  {":1: ", "invalid integer"});
+  // INT_MAX itself fits.
+  const Outcome max = decode_both(write("max.trace", "p0 send p2147483647 1\n"));
+  ASSERT_EQ(max.error, "");
+  EXPECT_EQ(max.actions.at(0).partner, 2147483647);
+}
+
+TEST_F(CodecNumericEdges, BinaryIntegersPastIntMaxAreRejected) {
+  // Offsets name the record's first byte: the header is 6 bytes long.
+  expect_rejected(
+      write("partner.btrace", binary_file(std::string(1, kSend) + varint(0) +
+                                          varint(4294967297ull) + varint(100))),
+      {": byte 6: ", "partner 4294967297 out of range"});
+  expect_rejected(
+      write("pid.btrace",
+            binary_file(std::string(1, kSend) + varint(2147483648ull))),
+      {": byte 6: ", "process id 2147483648 out of range"});
+  expect_rejected(write("comm.btrace",
+                        binary_file(std::string(1, kCommSize) + varint(0) +
+                                    varint(4294967298ull))),
+                  {": byte 6: ", "comm_size 4294967298 out of range"});
+  expect_rejected(write("header.btrace", std::string("TIRB") + '\x01' +
+                                             varint(4294967297ull)),
+                  {": byte 5: ", "header process id 4294967296 out of range"});
+}
+
+TEST_F(CodecNumericEdges, CompactRepeatCountsPastUint32AreRejected) {
+  // The block header starts at byte 7 (magic, version, pid, block count).
+  expect_rejected(write("repeat.ctrace",
+                        compact_file(4294967297ull, {"p0 compute 5"})),
+                  {": byte 7: ", "repeat count 4294967297 out of range"});
+  expect_rejected(write("max64.ctrace", compact_file(UINT64_MAX, {})),
+                  {": byte 7: ", "out of range"});
+  // The largest count that fits, over an empty body, expands to nothing
+  // (a non-empty body would expand to 4e9 actions).
+  const Outcome fits = decode_both(write("u32.ctrace", compact_file(UINT32_MAX, {})));
+  EXPECT_EQ(fits.error, "");
+  EXPECT_TRUE(fits.actions.empty());
+  // Integer fields inside a body line follow the text rules.
+  expect_rejected(write("partner.ctrace",
+                        compact_file(2, {"p0 send p4294967297 100"})),
+                  {"partner '4294967297' out of range"});
+}
+
+TEST_F(CodecNumericEdges, NonFiniteAndOverflowingVolumesAreRejected) {
+  for (const char* v : {"nan", "inf", "-inf", "1e999"}) {
+    SCOPED_TRACE(v);
+    const std::string line = std::string("p0 compute ") + v;
+    expect_rejected(write("v.trace", line + "\n"), {":1: "});
+    expect_rejected(write("v.ctrace", compact_file(3, {line})), {": byte "});
+  }
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    expect_rejected(
+        write("v.btrace", binary_file(std::string(1, kComputeDouble) +
+                                      varint(0) + raw_double(v))),
+        {": byte 6: ", "non-finite double"});
+  }
+}
+
+TEST_F(CodecNumericEdges, VarintOverflowIsRejected) {
+  // Eleven bytes, and ten bytes whose last one carries more than bit 63.
+  const std::string eleven = std::string(10, '\xFF') + '\x01';
+  const std::string ten = std::string(9, '\xFF') + '\x02';
+  for (const std::string& bad : {eleven, ten}) {
+    expect_rejected(write("v.btrace", binary_file(std::string(1, kSend) +
+                                                  varint(0) + varint(1) + bad)),
+                    {": byte 6: ", "varint overflow"});
+    expect_rejected(write("v.ctrace", std::string("TIRC") + '\x01' +
+                                          varint(0) + varint(1) + bad),
+                    {": byte 7: ", "varint overflow"});
+  }
+  // 2^64 - 1 is the largest varint: a valid (if enormous) volume.
+  const Outcome max = decode_both(write(
+      "max.btrace", binary_file(std::string(1, kSend) + varint(0) + varint(1) +
+                                varint(UINT64_MAX))));
+  ASSERT_EQ(max.error, "");
+  EXPECT_EQ(max.actions.at(0).volume, 18446744073709551615.0);
+}
+
+TEST_F(CodecNumericEdges, NegativeZeroReadsAsZeroEveryCodec) {
+  // One behaviour for -0 across the three codecs: it decodes as +0.
+  const std::vector<fs::path> files = {
+      write("z.trace", "p0 compute -0\np0 reduce -0 -0.0\n"),
+      write("z.btrace", binary_file(std::string(1, kComputeDouble) +
+                                    varint(0) + raw_double(-0.0))),
+      write("z.ctrace", compact_file(2, {"p0 compute -0"})),
+  };
+  for (const fs::path& file : files) {
+    SCOPED_TRACE(file.string());
+    const Outcome out = decode_both(file);
+    ASSERT_EQ(out.error, "");
+    ASSERT_FALSE(out.actions.empty());
+    for (const Action& a : out.actions) {
+      EXPECT_EQ(a.volume, 0.0);
+      EXPECT_FALSE(std::signbit(a.volume));
+      EXPECT_FALSE(std::signbit(a.volume2));
+    }
+  }
+}
+
+TEST_F(CodecNumericEdges, NegativeVolumesAreRejectedEveryCodec) {
+  expect_rejected(write("n.trace", "p0 compute -5\n"), {"negative volume"});
+  expect_rejected(write("n.btrace", binary_file(std::string(1, kComputeDouble) +
+                                                varint(0) + raw_double(-5.0))),
+                  {": byte 6: ", "negative volume"});
+  expect_rejected(write("n.ctrace", compact_file(2, {"p0 compute -5"})),
+                  {"negative volume"});
 }

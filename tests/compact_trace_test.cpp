@@ -11,6 +11,7 @@
 #include "support/rng.hpp"
 #include "trace/compact.hpp"
 #include "trace/text_format.hpp"
+#include "trace/trace_set.hpp"
 
 using namespace tir;
 using trace::Action;
@@ -109,11 +110,21 @@ TEST(CompactTrace, FileRoundTripAndDetection) {
 }
 
 TEST(CompactTrace, SourceStreamsTheExpansion) {
+  // The streaming cursor expands loop blocks one body at a time.
+  const auto dir = fs::temp_directory_path() /
+                   ("tir_compactsrc_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const auto file = dir / "p0.ctrace";
   const auto actions = repetitive_trace(30);
-  trace::CompactSource source(trace::compact_actions(actions));
+  trace::write_compact(file, trace::compact_actions(actions), 0);
+  const auto set = trace::TraceSet::per_process_files(
+      {file}, trace::DecodeMode::strict, trace::DecodePolicy::stream);
+  ASSERT_TRUE(set.streaming());
+  const auto source = set.open(0);
   std::vector<Action> streamed;
-  while (auto a = source.next()) streamed.push_back(*a);
+  while (auto a = source->next()) streamed.push_back(*a);
   EXPECT_EQ(streamed, actions);
+  fs::remove_all(dir);
 }
 
 TEST(CompactTrace, ReplayFromCompactFilesMatchesText) {

@@ -9,7 +9,6 @@
 #include "replay/replayer.hpp"
 #include "support/error.hpp"
 #include "trace/binary_format.hpp"
-#include "trace/text_format.hpp"
 #include "trace/trace_set.hpp"
 
 using namespace tir;

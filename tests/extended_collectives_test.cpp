@@ -12,7 +12,7 @@
 #include "replay/replayer.hpp"
 #include "support/error.hpp"
 #include "support/stats.hpp"
-#include "trace/text_format.hpp"
+#include "trace/trace_set.hpp"
 
 using namespace tir;
 using namespace tir::mpi;

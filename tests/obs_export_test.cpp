@@ -22,7 +22,7 @@
 #include "obs/report.hpp"
 #include "platform/cluster.hpp"
 #include "replay/scenario.hpp"
-#include "trace/text_format.hpp"
+#include "trace/trace_set.hpp"
 
 using namespace tir;
 namespace fs = std::filesystem;

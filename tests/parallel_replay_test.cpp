@@ -29,7 +29,6 @@
 #include "platform/topology.hpp"
 #include "replay/perturb.hpp"
 #include "replay/scenario.hpp"
-#include "trace/text_format.hpp"
 #include "trace/trace_set.hpp"
 
 using namespace tir;

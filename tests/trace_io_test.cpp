@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "support/error.hpp"
 #include "trace/binary_format.hpp"
@@ -224,7 +227,7 @@ TEST_F(TraceIoTest, MergedFileRoundTripsThroughAllCodecs) {
     const auto file = dir_ / ("merged_" + std::string(codec->name()));
     EXPECT_GT(codec->encode(file, merged, /*pid=*/-1), 0u)
         << codec->name();
-    EXPECT_EQ(codec->decode(file), merged) << codec->name();
+    EXPECT_EQ(read_all(file), merged) << codec->name();
 
     const TraceSet set = TraceSet::merged_file(file, 4);
     for (int p = 0; p < 4; ++p) {
@@ -252,7 +255,7 @@ TEST_F(TraceIoTest, RecvWithoutVolumeRoundTripsThroughAllCodecs) {
   for (const TraceCodec* codec : all_codecs()) {
     const auto file = dir_ / ("recv_" + std::string(codec->name()));
     codec->encode(file, actions, /*pid=*/5);
-    const auto back = codec->decode(file);
+    const auto back = read_all(file);
     EXPECT_EQ(back, actions) << codec->name();
     EXPECT_DOUBLE_EQ(back[0].volume, 0.0) << codec->name();
   }
@@ -343,4 +346,107 @@ TEST_F(TraceIoTest, NegativeVolumeFailsStrictAndSalvagesLenient) {
   const auto salvage = lenient.salvage_report();
   ASSERT_EQ(salvage.size(), 1u);
   EXPECT_NE(salvage[0].error.find("negative volume"), std::string::npos);
+}
+
+TEST_F(TraceIoTest, ReadersWorkWhereTheFileCannotBeMapped) {
+  // A FIFO cannot be mmap'd: the readers fall back to an ifstream and must
+  // decode the same records, with the same line numbers in errors.
+  const auto fifo = dir_ / "pipe.trace";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const auto feed = [&](std::string bytes) {
+    return std::thread([&fifo, bytes] {
+      std::ofstream(fifo, std::ios::binary) << bytes;
+    });
+  };
+
+  std::thread writer = feed("# comment\np0 compute 5\n\np0 barrier");
+  std::vector<Action> back;
+  {
+    TextTraceReader reader(fifo);
+    while (auto a = reader.next()) back.push_back(*a);
+  }
+  writer.join();
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_EQ(back[1].type, ActionType::barrier);
+
+  writer = feed("p0 compute 5\np0 warp 9\n");
+  try {
+    TextTraceReader reader(fifo);
+    while (reader.next()) {
+    }
+    FAIL() << "expected ParseError";
+  } catch (const tir::ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("pipe.trace:2: "),
+              std::string::npos);
+  }
+  writer.join();
+
+  const auto bin = dir_ / "p1.btrace";
+  const auto ring = ring_actions();
+  {
+    BinaryTraceWriter w(bin, 1);
+    for (const Action& a : ring[1]) w.write(a);
+  }
+  std::ifstream in(bin, std::ios::binary);
+  writer = feed({std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>()});
+  back.clear();
+  {
+    BinaryTraceReader reader(fifo);
+    while (auto a = reader.next()) back.push_back(*a);
+  }
+  writer.join();
+  EXPECT_EQ(back, ring[1]);
+}
+
+TEST_F(TraceIoTest, LargeFilesDecodeTheSameThroughTheMapping) {
+  // Files of 64 KiB and more are mmap'd; a merged file that large must
+  // stream per pid exactly as it materialises, and a bad last record must
+  // stop both shapes at the same place with the same message.
+  std::vector<std::vector<Action>> per(4);
+  for (int i = 0; i < 2500; ++i)
+    for (int p = 0; p < 4; ++p)
+      per[static_cast<std::size_t>(p)].push_back(
+          {p, ActionType::send, (p + 1) % 4, 1e6 + 0.5 * i, 0, 0});
+  std::vector<Action> merged;
+  for (const auto& actions : per)
+    merged.insert(merged.end(), actions.begin(), actions.end());
+
+  for (const char* name : {"text", "binary"}) {
+    SCOPED_TRACE(name);
+    const auto file = dir_ / ("large_" + std::string(name));
+    codec_by_name(name).encode(file, merged, -1);
+    ASSERT_GE(fs::file_size(file), 64u << 10);
+    const auto mat = TraceSet::merged_file(file, 4, DecodeMode::strict,
+                                           DecodePolicy::materialise);
+    const auto str = TraceSet::merged_file(file, 4, DecodeMode::strict,
+                                           DecodePolicy::stream);
+    ASSERT_TRUE(str.streaming());
+    for (int p = 0; p < 4; ++p) {
+      auto source = str.open(p);
+      std::vector<Action> back;
+      while (auto a = source->next()) back.push_back(*a);
+      EXPECT_EQ(back, per[static_cast<std::size_t>(p)]);
+      EXPECT_EQ(mat.actions(p), per[static_cast<std::size_t>(p)]);
+    }
+
+    std::ofstream(file, std::ios::binary | std::ios::app) << "\x0F junk\n";
+    const auto lenient = [&](DecodePolicy policy) {
+      return TraceSet::merged_file(file, 4, DecodeMode::lenient, policy)
+          .salvage_report()
+          .at(0);
+    };
+    const SalvageInfo m = lenient(DecodePolicy::materialise);
+    const SalvageInfo s = lenient(DecodePolicy::stream);
+    EXPECT_FALSE(m.complete);
+    EXPECT_EQ(m.error, s.error);
+    EXPECT_EQ(m.bytes_consumed, s.bytes_consumed);
+    EXPECT_EQ(m.bytes_consumed, fs::file_size(file) - 7);  // the junk line
+    try {
+      (void)read_all(file);
+      FAIL() << "expected ParseError";
+    } catch (const tir::ParseError& e) {
+      EXPECT_EQ(std::string(e.what()), m.error);
+    }
+  }
 }

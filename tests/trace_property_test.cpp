@@ -7,6 +7,7 @@
 #include "support/rng.hpp"
 #include "trace/binary_format.hpp"
 #include "trace/text_format.hpp"
+#include "trace/trace_set.hpp"
 
 using namespace tir;
 using trace::Action;

@@ -13,7 +13,6 @@
 #include "support/units.hpp"
 #include "trace/binary_format.hpp"
 #include "trace/compact.hpp"
-#include "trace/text_format.hpp"
 #include "trace/trace_set.hpp"
 
 using namespace tir;
