@@ -67,7 +67,10 @@ const Files& files() {
 
 void BM_ParseText(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(read_all(files().text).size());
+    TextTraceReader reader(files().text);
+    std::uint64_t n = 0;
+    while (auto a = reader.next()) ++n;
+    benchmark::DoNotOptimize(n);
   }
   state.counters["bytes"] =
       static_cast<double>(fs::file_size(files().text));
@@ -76,7 +79,10 @@ BENCHMARK(BM_ParseText)->Unit(benchmark::kMillisecond);
 
 void BM_ParseBinary(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(read_all(files().binary).size());
+    BinaryTraceReader reader(files().binary);
+    std::uint64_t n = 0;
+    while (auto a = reader.next()) ++n;
+    benchmark::DoNotOptimize(n);
   }
   state.counters["bytes"] =
       static_cast<double>(fs::file_size(files().binary));

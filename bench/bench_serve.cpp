@@ -15,8 +15,8 @@
 //              byte budget, proving eviction keeps residency bounded.
 //
 // Acceptance (exit 1 on violation):
-//   - warm throughput >= 10x cold throughput on one worker, each phase
-//     timed over at least 0.2 s of repeated passes;
+//   - warm throughput >= 10x cold throughput, each phase timed over at
+//     least 0.2 s of repeated passes;
 //   - every warm response, and every repeated cold pass, bit-identical
 //     (memcmp on the sim_time double) to the first cold pass;
 //   - RSS growth across the warm soak < 64 MiB (the memo and caches are
@@ -132,11 +132,6 @@ int main() {
   options.base_dir = dir.string();
   options.queue_limit = kWarm + kDistinct + 16;  // soak measures caches,
   options.max_batch = 256;                       // not admission control
-  // One worker: the speedup compares per-request costs. With one worker
-  // per core the cold replays run in parallel and the ratio also measures
-  // how many cores happen to be free (9.3x to 38x on one 4-CPU host),
-  // while memo hits are bound by the one dispatcher anyway.
-  options.workers = 1;
   serve::ReplayService service(options);
 
   // Mixed distinct scenarios: an efficiency ladder, every fourth row with a

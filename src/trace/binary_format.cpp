@@ -43,12 +43,10 @@ void BinaryTraceWriter::put_double(double value) {
   buffer_.append(raw, sizeof(double));
 }
 
-void BinaryTraceWriter::maybe_flush() {
-  if (buffer_.size() >= kFlushThreshold) {
-    out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-    bytes_ += buffer_.size();
-    buffer_.clear();
-  }
+void BinaryTraceWriter::flush() {
+  out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+  bytes_ += buffer_.size();
+  buffer_.clear();
 }
 
 void BinaryTraceWriter::write(const Action& a) {
@@ -95,16 +93,12 @@ void BinaryTraceWriter::write(const Action& a) {
     case ActionType::waitall:
       break;
   }
-  maybe_flush();
+  if (buffer_.size() >= kFlushThreshold) flush();
 }
 
 std::uint64_t BinaryTraceWriter::close() {
   if (closed_) return bytes_;
-  if (!buffer_.empty()) {
-    out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-    bytes_ += buffer_.size();
-    buffer_.clear();
-  }
+  flush();
   out_.close();
   closed_ = true;
   return bytes_;

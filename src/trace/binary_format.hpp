@@ -42,7 +42,7 @@ class BinaryTraceWriter {
 
  private:
   void put_double(double value);
-  void maybe_flush();
+  void flush();  ///< writes out the buffer
 
   std::ofstream out_;
   std::string buffer_;

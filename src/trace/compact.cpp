@@ -210,17 +210,6 @@ void CompactTraceReader::reread(const CompactBlock& block,
   read_body(framing(), body);
 }
 
-CompactProgram read_compact(const std::filesystem::path& path, int* pid_out) {
-  CompactTraceReader reader(path);
-  if (pid_out != nullptr) *pid_out = reader.pid();
-  CompactProgram program;
-  while (const auto block = reader.next_block()) {
-    program.push_back(LoopBlock{block->repeat, {}});
-    reader.read_body(*block, program.back().body);
-  }
-  return program;
-}
-
 std::uint64_t compact_expanded_hint(
     const std::filesystem::path& path) noexcept {
   try {

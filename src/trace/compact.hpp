@@ -100,10 +100,6 @@ class CompactTraceReader {
   std::uint64_t block_offset_ = 0;
 };
 
-/// The whole program, block structure included.
-CompactProgram read_compact(const std::filesystem::path& path,
-                            int* pid_out = nullptr);
-
 /// True when the file starts with the compact-trace magic.
 bool is_compact_trace(const std::filesystem::path& path);
 

@@ -62,6 +62,18 @@ void FileBytes::fail(const std::string& reason) const {
   throw ParseError(byte_location(path_, mark_) + ": " + reason);
 }
 
+void FileBytes::release_passed() {
+  const std::uint64_t end = pos_ / kReleaseBytes * kReleaseBytes;
+#if TIR_HAVE_MMAP
+  // The mapping is private and never written: a released page that is read
+  // again is faulted back in from the file.
+  if (end > released_)
+    ::madvise(const_cast<char*>(data_) + released_,
+              static_cast<std::size_t>(end - released_), MADV_DONTNEED);
+#endif
+  released_ = end;
+}
+
 int FileBytes::get_slow() {
   const int byte = in_.get();
   if (byte == std::char_traits<char>::eof()) return -1;

@@ -3,8 +3,8 @@
 //
 // A regular file of 64 KiB or more is mmap'd read-only where the platform
 // allows it: lines and length-prefixed entries come back as views into the
-// mapping, with no copy and no per-byte stream call, and memory stays
-// bounded because the page cache backs the mapping. Smaller files, and
+// mapping, with no copy and no per-byte stream call, and pages the reader
+// has moved past are released, so memory stays bounded. Smaller files, and
 // files that cannot be mapped (a pipe, a failed mmap), are read through an
 // ifstream behind the same interface, keeping one line or entry resident.
 #pragma once
@@ -45,7 +45,11 @@ class FileBytes {
   std::uint64_t offset() const { return pos_; }
 
   /// Marks the current offset as the start of the item being read.
-  void mark() { mark_ = pos_; }
+  void mark() {
+    mark_ = pos_;
+    // (After a backward seek the difference wraps and resets the window.)
+    if (mapped_ && pos_ - released_ > kReleaseBytes) release_passed();
+  }
   std::uint64_t marked() const { return mark_; }
 
   /// Throws tir::ParseError "<file>: byte <marked()>: <reason>".
@@ -57,12 +61,20 @@ class FileBytes {
   void seek(std::uint64_t offset);
 
  private:
+  // A mapped file's pages count towards the process's resident set once
+  // touched. Pages behind the read position are released in windows of
+  // this size (a multiple of every page size), so a reader streaming a
+  // large file keeps at most two windows resident, not the whole file.
+  static constexpr std::uint64_t kReleaseBytes = 4 << 20;
+
   int get_slow();
+  void release_passed();
 
   std::filesystem::path path_;
   std::uint64_t size_ = 0;
   std::uint64_t pos_ = 0;
   std::uint64_t mark_ = 0;
+  std::uint64_t released_ = 0;  // mapped pages below this are dropped
   const char* data_ = nullptr;  // the mapping, when mapped_
   bool mapped_ = false;
   std::ifstream in_;            // otherwise

@@ -23,20 +23,18 @@ void TextTraceWriter::write(const Action& action) {
   buffer_ += to_line(action);
   buffer_ += '\n';
   ++actions_;
-  if (buffer_.size() >= kFlushThreshold) {
-    out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-    bytes_ += buffer_.size();
-    buffer_.clear();
-  }
+  if (buffer_.size() >= kFlushThreshold) flush();
+}
+
+void TextTraceWriter::flush() {
+  out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+  bytes_ += buffer_.size();
+  buffer_.clear();
 }
 
 std::uint64_t TextTraceWriter::close() {
   if (closed_) return bytes_;
-  if (!buffer_.empty()) {
-    out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-    bytes_ += buffer_.size();
-    buffer_.clear();
-  }
+  flush();
   out_.close();
   closed_ = true;
   return bytes_;

@@ -34,6 +34,8 @@ class TextTraceWriter {
   std::uint64_t actions_written() const { return actions_; }
 
  private:
+  void flush();  ///< writes out the buffer
+
   std::ofstream out_;
   std::string buffer_;
   std::uint64_t bytes_ = 0;

@@ -102,9 +102,14 @@ TEST(CompactTrace, FileRoundTripAndDetection) {
   const auto bytes = trace::write_compact(file, program, 0);
   EXPECT_GT(bytes, 0u);
   EXPECT_TRUE(trace::is_compact_trace(file));
-  int pid = -1;
-  const auto back = trace::read_compact(file, &pid);
-  EXPECT_EQ(pid, 0);
+  // The block reader gives back the program, block structure included.
+  trace::CompactTraceReader reader(file);
+  EXPECT_EQ(reader.pid(), 0);
+  trace::CompactProgram back;
+  while (const auto block = reader.next_block()) {
+    back.push_back(trace::LoopBlock{block->repeat, {}});
+    reader.read_body(*block, back.back().body);
+  }
   EXPECT_EQ(back, program);
   fs::remove_all(dir);
 }
@@ -179,8 +184,8 @@ TEST(CompactTrace, RejectsCorruptFiles) {
   const auto file = dir / "bad.ctrace";
   std::ofstream(file, std::ios::binary) << "TIRC" << '\x01' << '\x00'
                                         << '\xFF';
-  EXPECT_THROW(trace::read_compact(file), tir::ParseError);
-  EXPECT_THROW(trace::read_compact(dir / "missing"), tir::IoError);
+  EXPECT_THROW(trace::read_all(file), tir::ParseError);
+  EXPECT_THROW(trace::read_all(dir / "missing"), tir::IoError);
   fs::remove_all(dir);
 }
 
