@@ -6,6 +6,7 @@
 
 #include "support/error.hpp"
 #include "support/log.hpp"
+#include "trace/validate.hpp"
 
 namespace tir::replay {
 
@@ -182,14 +183,21 @@ void run_scenario_into(const ScenarioSpec& spec, const ActionRegistry& registry,
 
   for (int p = 0; p < nprocs; ++p) {
     ReplayCtx* ctx = contexts[static_cast<std::size_t>(p)].get();
-    world.launch_rank(p, [&spec, &registry, ctx, p, &engine,
+    world.launch_rank(p, [&spec, &registry, ctx, p, nprocs, &engine,
                           &result](mpi::Rank&) -> sim::Co<void> {
       auto source = spec.traces.open(p);
-      while (auto action = source->next()) {
+      // The checks only the trace set can fail, rejected with the line
+      // trace::validate prints for them.
+      const auto reject = [p](std::int64_t index, std::string message) {
+        return SimError(trace::describe(
+            {trace::Severity::error, p, index, std::move(message)}));
+      };
+      for (std::int64_t index = 0; auto action = source->next(); ++index) {
         if (action->pid != p)
-          throw SimError("replay: process " + std::to_string(p) +
-                         " read an action belonging to process " +
-                         std::to_string(action->pid));
+          throw reject(index, trace::foreign_action_message(*action, p));
+        if (trace::partner_out_of_range(*action, nprocs))
+          throw reject(index,
+                       trace::partner_out_of_range_message(*action, nprocs));
         const ActionHandler& handler = registry.handler(action->type);
         const double start = engine.now();
         co_await handler(*ctx, *action);

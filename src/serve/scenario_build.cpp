@@ -216,9 +216,19 @@ CachedTrace InputResolver::traces(const std::string& spec, bool merged,
     for (const auto& token : str::split(spec, ','))
       paths.push_back(resolve(std::string(token)));
     const std::vector<fs::path> files = trace::expand_trace_paths(paths);
+    // One path resolution per directory, not per file (a warm memo hit
+    // pays this on every request): a file's key is its directory's
+    // canonical path plus its name. A symlinked file keeps its own name;
+    // content dedup still collapses it with its target.
     key = "split:";
+    fs::path dir;
+    std::string dir_key;
     for (const auto& f : files) {
-      key += canonical_path_key(f);
+      if (dir_key.empty() || f.parent_path() != dir) {
+        dir = f.parent_path();
+        dir_key = canonical_path_key(dir);
+      }
+      key += (fs::path(dir_key) / f.filename()).string();
       key += ',';
     }
     load = [files, decode] {

@@ -9,6 +9,7 @@
 //
 // Activities are shared-ownership objects: the engine keeps them alive
 // while they run, and any process may hold a reference to await them later.
+// The engine allocates them from the kernel's block pool (simkern/pool.hpp).
 #pragma once
 
 #include <coroutine>
@@ -42,55 +43,80 @@ class Activity : public std::enable_shared_from_this<Activity> {
 
  private:
   friend class Engine;
+  /// Queues `h` to be resumed at completion, after the earlier waiters.
+  void add_waiter(std::coroutine_handle<> h) {
+    if (!first_waiter_)
+      first_waiter_ = h;
+    else
+      more_waiters_.push_back(h);
+  }
+  bool has_waiters() const { return static_cast<bool>(first_waiter_); }
+
   Kind kind_;
   bool done_ = false;
   SimTime start_time_ = 0.0;
   SimTime finish_time_ = -1.0;
-  std::vector<std::coroutine_handle<>> waiters_;
+  // Waiters in arrival order: almost every activity has exactly one, kept
+  // inline so awaiting allocates nothing.
+  std::coroutine_handle<> first_waiter_;
+  std::vector<std::coroutine_handle<>> more_waiters_;
 };
 
 using ActivityPtr = std::shared_ptr<Activity>;
 
-/// Progress of a running Exec. Tracked lazily: `remaining` is exact as of
+/// Progress of a fluid accounted on its own: a running Exec, or a flow in
+/// no rate group. Tracked lazily: `remaining` is exact as of
 /// `last_update`, and the engine keeps the predicted finish in its indexed
-/// finish queue — one entry per running Exec, re-keyed in place when the
+/// finish queue — one entry per such fluid, re-keyed in place when the
 /// rate changes, located through `heap_pos`.
 struct FluidState {
   double remaining = 0.0;    ///< work left as of last_update
   double rate = 0.0;         ///< current rate
   SimTime last_update = 0.0;
   std::int32_t heap_pos = -1;  ///< slot in the finish queue (-1: not queued)
-  std::size_t index = 0;     ///< slot in the engine's per-host Exec list
 };
 
-/// A Transfer's flow phase. Every flow belongs to one rate group of the
-/// engine (mirroring the network solver's groups); its progress lives in
-/// the group's virtual clock, not here.
+/// An activity whose completion is a fluid finish (Exec, Transfer).
+class FluidActivity : public Activity {
+ public:
+  FluidState fluid;
+
+ protected:
+  using Activity::Activity;
+};
+
+/// A Transfer's flow phase. A flow in a single-bottleneck component is a
+/// member of one engine rate group (mirroring the network solver's), whose
+/// virtual clock holds its progress; any other flow is accounted in its
+/// FluidState, like an Exec.
 struct FlowState {
   VarId var = -1;               ///< network-solver variable
-  std::int32_t group = -1;      ///< engine rate group (-1: not solved yet)
+  std::int32_t group = -1;      ///< engine rate group (-1: none)
   std::int32_t member_pos = -1; ///< slot in the group's member heap
   std::uint64_t order = 0;      ///< start order: breaks finish-key ties
+  std::uint64_t seq = 0;        ///< ungrouped: when its rate last changed
 };
 
-class Exec final : public Activity {
+class Exec final : public FluidActivity {
  public:
-  Exec() : Activity(Kind::exec) {}
+  Exec() : FluidActivity(Kind::exec) {}
   int host = -1;
   double flops = 0.0;  ///< requested volume (before efficiency scaling)
-  FluidState fluid;
+  std::size_t host_slot = 0;  ///< slot in the engine's per-host Exec list
 };
 
-class Transfer final : public Activity {
+class Transfer final : public FluidActivity {
  public:
-  Transfer() : Activity(Kind::transfer) {}
+  Transfer() : FluidActivity(Kind::transfer) {}
   int src_host = -1;
   int dst_host = -1;
   double bytes = 0.0;      ///< payload size
   double amount = 0.0;     ///< model amount (bytes / bandwidth_factor)
   double latency = 0.0;    ///< effective route latency
   bool flowing = false;    ///< latency phase finished, flow phase running
-  std::vector<ResourceId> link_resources;
+  /// The route's network resources: the engine's cached list, shared by
+  /// every transfer on the route (never null once started).
+  const std::vector<ResourceId>* resources = nullptr;
   FlowState flow;
 };
 

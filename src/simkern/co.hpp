@@ -8,13 +8,17 @@
 //     transfer. Simulated MPI operations and collectives are Co<...>s.
 //
 // Both are strictly single-threaded: the Engine resumes exactly one
-// coroutine at a time, so no synchronization is needed.
+// coroutine at a time, so no synchronization is needed. Co<> frames come
+// from the kernel's per-thread block pool (simkern/pool.hpp): an MPI call
+// made millions of times per replay reuses the frame of the previous one.
 #pragma once
 
 #include <coroutine>
 #include <exception>
 #include <optional>
 #include <utility>
+
+#include "simkern/pool.hpp"
 
 namespace tir::sim {
 
@@ -40,6 +44,13 @@ struct SymmetricFinalAwaiter {
 struct CoPromiseBase {
   std::coroutine_handle<> continuation;
   std::exception_ptr error;
+
+  static void* operator new(std::size_t bytes) {
+    return pool::allocate(bytes);
+  }
+  static void operator delete(void* frame, std::size_t bytes) noexcept {
+    pool::deallocate(frame, bytes);
+  }
 };
 
 }  // namespace detail

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "obs/recorder.hpp"
 #include "support/error.hpp"
@@ -30,10 +31,14 @@ void Gate::open() {
 Engine::Engine(const plat::Platform& platform, EngineConfig config)
     : platform_(platform), config_(config) {
   net_lmm_.set_full_solve(config.full_solve);
-  link_res_.reserve(platform.link_count());
+  // The solver numbers resources in creation order: link l is resource l.
   for (std::size_t l = 0; l < platform.link_count(); ++l)
-    link_res_.push_back(
-        net_lmm_.add_resource(platform.link(static_cast<int>(l)).bandwidth));
+    net_lmm_.add_resource(platform.link(static_cast<int>(l)).bandwidth);
+  loopback_routes_.resize(platform.host_count());
+  for (std::size_t h = 0; h < platform.host_count(); ++h) {
+    const plat::LinkId loopback = platform.host(static_cast<int>(h)).loopback;
+    if (loopback != plat::kNone) loopback_routes_[h].push_back(loopback);
+  }
   host_execs_.resize(platform.host_count());
   host_power_factor_.assign(platform.host_count(), 1.0);
   link_bandwidth_factor_.assign(platform.link_count(), 1.0);
@@ -89,10 +94,10 @@ void Engine::catch_up(FluidState& fluid) {
   fluid.last_update = now_;
 }
 
-// Finish queue: indexed 4-ary min-heap over the running Execs and the rate
-// groups.
+// Finish queue: indexed 4-ary min-heap over the fluids (running Execs and
+// ungrouped flows) and the rate groups.
 //
-// Every Exec with a positive rate and every group with members and a
+// Every fluid with a positive rate and every group with members and a
 // positive share has exactly one entry, re-keyed in place when its rate or
 // head member changes (FluidState::heap_pos / FlowGroup::heap_pos track the
 // slot). A group's entry is its head member's finish; the rest of its
@@ -106,8 +111,8 @@ bool Engine::finish_before(const FinishItem& a, const FinishItem& b) {
 }
 
 std::int32_t& Engine::finish_slot(const FinishItem& item) {
-  return item.exec ? item.exec->fluid.heap_pos
-                   : groups_[static_cast<std::size_t>(item.group)].heap_pos;
+  return item.fluid ? item.fluid->fluid.heap_pos
+                    : groups_[static_cast<std::size_t>(item.group)].heap_pos;
 }
 
 void Engine::finish_place(FinishItem item, std::size_t i) {
@@ -183,15 +188,9 @@ void Engine::finish_pop() {
 }
 
 void Engine::set_rate(Exec& exec, double rate) {
-  FluidState& fluid = exec.fluid;
-  catch_up(fluid);
-  fluid.rate = rate;
-  if (rate > 0) {
-    finish_update(
-        FinishItem{now_ + fluid.remaining / rate, seq_++, 0, &exec, -1});
-  } else {
-    finish_remove(fluid.heap_pos);  // starved: no completion until a change
-  }
+  catch_up(exec.fluid);
+  exec.fluid.rate = rate;
+  queue_fluid(exec, seq_++, 0);
 }
 
 void Engine::reschedule_host(int host) {
@@ -228,7 +227,8 @@ void Engine::advance(FlowGroup& group) {
   group.last_update = now_;
   if (group.members.size() == 1) {
     // Fold the clock into the lone key: remaining = max(0, remaining -
-    // share · dt), the per-flow update, so groups of one round like it.
+    // share · dt), the per-flow update, so a group down to one member
+    // rounds like a flow in no group.
     FlowMember& only = group.members.front();
     only.key = std::max(0.0, only.key - group.clock);
     group.clock = 0.0;
@@ -312,35 +312,70 @@ void Engine::apply_share(std::int32_t g, double share) {
   }
 }
 
-void Engine::move_flow(Transfer& transfer, std::int32_t g) {
-  // Remaining amount, rate and rate-change seq before this resolve (a new
-  // flow has made no progress and had no rate).
-  double remaining = transfer.amount;
-  double old_rate = 0.0;
-  std::uint64_t old_seq = 0;
-  if (transfer.flow.group >= 0) {
-    FlowGroup& old = begin_change(transfer.flow.group);
+Engine::FlowProgress Engine::take_flow(Transfer& transfer) {
+  if (const std::int32_t g = transfer.flow.group; g >= 0) {
+    FlowGroup& old = begin_change(g);
     advance(old);
     const auto pos = static_cast<std::size_t>(transfer.flow.member_pos);
     const FlowMember& member = old.members[pos];
-    remaining = std::max(0.0, member.key - old.clock);
-    old_rate = old.prev_share;
-    old_seq = member.gen == old.prev_share_gen ? member.seq
-                                               : old.prev_share_seq;
+    const FlowProgress progress{
+        std::max(0.0, member.key - old.clock), old.prev_share,
+        member.gen == old.prev_share_gen ? member.seq : old.prev_share_seq};
     member_erase(old, pos);
+    transfer.flow.group = -1;
+    return progress;
+  }
+  // In no group: its own progress, caught up (a new flow has its whole
+  // amount left and no rate yet).
+  catch_up(transfer.fluid);
+  return {transfer.fluid.remaining, transfer.fluid.rate, transfer.flow.seq};
+}
+
+void Engine::move_flow(Transfer& transfer, std::int32_t g) {
+  const FlowProgress from = take_flow(transfer);
+  if (transfer.fluid.heap_pos >= 0) {
+    finish_remove(transfer.fluid.heap_pos);  // its group's entry times it
+    ++stats_.flows_rerated;
   }
   FlowGroup& group = begin_change(g);
   advance(group);
   // A flow whose rate does not move keeps its seq, like a flow a per-flow
   // re-rating would have left alone.
-  const bool rerated = meaningful(group.share, old_rate);
+  const bool rerated = meaningful(group.share, from.rate);
   const std::uint64_t order = transfer.flow.order;
   if (!rerated || order < group.max_order) group.reorder = true;
   group.max_order = std::max(group.max_order, order);
-  member_push(group, FlowMember{group.clock + remaining,
-                                rerated ? seq_++ : old_seq, group.share_gen,
+  member_push(group, FlowMember{group.clock + from.remaining,
+                                rerated ? seq_++ : from.seq, group.share_gen,
                                 order, &transfer});
   transfer.flow.group = g;
+}
+
+bool Engine::rate_flow(Transfer& transfer, double rate) {
+  // An ungrouped flow follows the per-Exec rule: an insignificant change
+  // leaves its rate and entry alone.
+  if (transfer.flow.group < 0 && !meaningful(rate, transfer.fluid.rate))
+    return false;
+  const FlowProgress from = take_flow(transfer);
+  FluidState& fluid = transfer.fluid;
+  fluid.remaining = from.remaining;
+  fluid.rate = rate;
+  fluid.last_update = now_;
+  transfer.flow.seq = meaningful(rate, from.rate) ? seq_++ : from.seq;
+  return queue_fluid(transfer, transfer.flow.seq, transfer.flow.order);
+}
+
+bool Engine::queue_fluid(FluidActivity& activity, std::uint64_t seq,
+                         std::uint64_t order) {
+  FluidState& fluid = activity.fluid;
+  if (fluid.rate > 0) {
+    finish_update(FinishItem{now_ + fluid.remaining / fluid.rate, seq, order,
+                             &activity, -1});
+    return true;
+  }
+  const bool queued = fluid.heap_pos >= 0;
+  finish_remove(fluid.heap_pos);  // starved until a rate change
+  return queued;
 }
 
 bool Engine::rekey_group(std::int32_t g) {
@@ -392,10 +427,16 @@ void Engine::resolve_network() {
   // Report order is component order, so rate-change seqs are handed out in
   // the order a per-flow re-rating would have used.
   for (const auto& change : changes) {
+    if (change.group < 0) {
+      Transfer* transfer = flow_of(change.var);
+      if (transfer && rate_flow(*transfer, change.share))
+        ++stats_.flows_rerated;
+      continue;
+    }
     apply_share(change.group, change.share);
     if (change.var >= 0) {
-      const auto& transfer = var_flows_[static_cast<std::size_t>(change.var)];
-      if (transfer) move_flow(*transfer, change.group);
+      if (Transfer* transfer = flow_of(change.var))
+        move_flow(*transfer, change.group);
     }
   }
   for (const std::int32_t g : touched_groups_) {
@@ -409,7 +450,7 @@ std::shared_ptr<Exec> Engine::exec_async(int host, double flops,
   if (host < 0 || static_cast<std::size_t>(host) >= platform_.host_count())
     throw SimError("exec_async: unknown host id " + std::to_string(host));
   if (efficiency <= 0) throw SimError("exec_async: efficiency must be > 0");
-  auto exec = std::make_shared<Exec>();
+  auto exec = pool::make_shared<Exec>();
   exec->host = host;
   exec->flops = flops;
   exec->start_time_ = now_;
@@ -421,7 +462,7 @@ std::shared_ptr<Exec> Engine::exec_async(int host, double flops,
   exec->fluid.remaining = flops / efficiency;
   exec->fluid.last_update = now_;
   auto& execs = host_execs_[static_cast<std::size_t>(host)];
-  exec->fluid.index = execs.size();
+  exec->host_slot = execs.size();
   execs.push_back(exec);
   reschedule_host(host);
   return exec;
@@ -434,20 +475,23 @@ const Engine::CachedRoute& Engine::cached_route(int src_host, int dst_host) {
       static_cast<std::uint32_t>(dst_host);
   auto it = route_cache_.find(key);
   if (it == route_cache_.end()) {
-    const plat::Route route = platform_.route(src_host, dst_host);
     CachedRoute cached;
-    // Sum per-link latencies ourselves so link degradation factors apply
-    // (equals route.latency when every factor is 1.0).
-    cached.latency = 0.0;
-    cached.resources.reserve(route.links.size());
-    for (const auto link : route.links) {
-      cached.latency += platform_.link(link).latency *
-                        link_latency_factor_[static_cast<std::size_t>(link)];
-      cached.resources.push_back(link_res_[static_cast<std::size_t>(link)]);
-    }
+    const plat::Route route = platform_.route(src_host, dst_host);
+    cached.resources.assign(route.links.begin(), route.links.end());
+    cached.latency = latency_of(cached.resources);
     it = route_cache_.emplace(key, std::move(cached)).first;
   }
   return it->second;
+}
+
+double Engine::latency_of(const std::vector<ResourceId>& links) const {
+  // Sum per-link latencies ourselves so link degradation factors apply
+  // (equals the platform's route latency when every factor is 1.0).
+  double latency = 0.0;
+  for (const ResourceId link : links)
+    latency += platform_.link(link).latency *
+               link_latency_factor_[static_cast<std::size_t>(link)];
+  return latency;
 }
 
 void Engine::set_host_factor(int host, double factor) {
@@ -491,26 +535,28 @@ void Engine::set_link_factors(int link, double bandwidth_factor,
     throw SimError("set_link_factors: bandwidth factor must be > 0");
   if (latency_factor < 0)
     throw SimError("set_link_factors: latency factor must be >= 0");
-  if (link_bandwidth_factor_[static_cast<std::size_t>(link)] ==
-          bandwidth_factor &&
-      link_latency_factor_[static_cast<std::size_t>(link)] == latency_factor)
+  const auto l = static_cast<std::size_t>(link);
+  if (link_bandwidth_factor_[l] == bandwidth_factor &&
+      link_latency_factor_[l] == latency_factor)
     return;
-  const ResourceId res = link_res_[static_cast<std::size_t>(link)];
-  net_lmm_.set_capacity(res,
+  net_lmm_.set_capacity(link,
                         platform_.link(link).bandwidth * bandwidth_factor);
-  link_bandwidth_factor_[static_cast<std::size_t>(link)] = bandwidth_factor;
-  link_latency_factor_[static_cast<std::size_t>(link)] = latency_factor;
+  link_bandwidth_factor_[l] = bandwidth_factor;
+  const bool latency_changed = link_latency_factor_[l] != latency_factor;
+  link_latency_factor_[l] = latency_factor;
   if (config_.recorder)
     config_.recorder->fault(now_, obs::FaultEvent::Kind::link, link,
                             bandwidth_factor, latency_factor);
-  // Cached route latencies embed the old factor. Only routes crossing the
-  // degraded link are stale; keep the rest so sweeps with faults don't pay
-  // a full route recomputation.
-  std::erase_if(route_cache_, [res](const auto& entry) {
-    const auto& resources = entry.second.resources;
-    return std::find(resources.begin(), resources.end(), res) !=
-           resources.end();
-  });
+  // Cached latencies of the routes crossing the link embed the old factor:
+  // recompute them in place (transfers point at the routes' resource lists,
+  // so entries are never erased). Transfers already in their latency phase
+  // keep the latency they started with.
+  if (!latency_changed) return;
+  for (auto& [key, route] : route_cache_) {
+    const auto& links = route.resources;
+    if (std::find(links.begin(), links.end(), link) != links.end())
+      route.latency = latency_of(links);
+  }
 }
 
 double Engine::route_latency(int src_host, int dst_host) {
@@ -519,7 +565,7 @@ double Engine::route_latency(int src_host, int dst_host) {
 
 std::shared_ptr<Transfer> Engine::transfer_async(int src_host, int dst_host,
                                                  double bytes) {
-  auto transfer = std::make_shared<Transfer>();
+  auto transfer = pool::make_shared<Transfer>();
   transfer->src_host = src_host;
   transfer->dst_host = dst_host;
   transfer->bytes = bytes;
@@ -531,7 +577,7 @@ std::shared_ptr<Transfer> Engine::transfer_async(int src_host, int dst_host,
       static_cast<std::uint64_t>(std::max(0.0, bytes)));
   transfer->latency = segment.latency_factor * route.latency;
   transfer->amount = bytes > 0 ? bytes / segment.bandwidth_factor : 0.0;
-  transfer->link_resources = route.resources;
+  transfer->resources = &route.resources;
 
   if (transfer->latency <= 0) {
     start_flow(*transfer);
@@ -543,24 +589,21 @@ std::shared_ptr<Transfer> Engine::transfer_async(int src_host, int dst_host,
 }
 
 std::shared_ptr<Transfer> Engine::injection_async(int host, double bytes) {
-  auto transfer = std::make_shared<Transfer>();
+  auto transfer = pool::make_shared<Transfer>();
   transfer->src_host = host;
   transfer->dst_host = host;
   transfer->bytes = bytes;
   transfer->amount = bytes;
   transfer->start_time_ = now_;
   ++stats_.activities;
-  const plat::LinkId loopback = platform_.host(host).loopback;
-  if (loopback != plat::kNone)
-    transfer->link_resources.push_back(
-        link_res_[static_cast<std::size_t>(loopback)]);
+  transfer->resources = &loopback_routes_.at(static_cast<std::size_t>(host));
   start_flow(*transfer);
   return transfer;
 }
 
 std::shared_ptr<Timer> Engine::timer_async(SimTime duration) {
   if (duration < 0) throw SimError("timer_async: negative duration");
-  auto timer = std::make_shared<Timer>();
+  auto timer = pool::make_shared<Timer>();
   timer->fire_at = now_ + duration;
   timer->start_time_ = now_;
   ++stats_.activities;
@@ -574,7 +617,7 @@ std::shared_ptr<Timer> Engine::timer_async(SimTime duration) {
 }
 
 GatePtr Engine::make_gate() {
-  auto gate = std::make_shared<Gate>();
+  auto gate = pool::make_shared<Gate>();
   gate->engine_ = this;
   gate->start_time_ = now_;
   ++stats_.activities;
@@ -584,13 +627,15 @@ GatePtr Engine::make_gate() {
 void Engine::start_flow(Transfer& transfer) {
   if (transfer.done()) return;
   transfer.flowing = true;
-  if (transfer.amount <= 0 || transfer.link_resources.empty()) {
+  if (transfer.amount <= 0 || transfer.resources->empty()) {
     // Nothing to stream (zero payload) or an unconstrained local copy.
     complete(transfer);
     return;
   }
   transfer.flow.order = flow_order_++;
-  transfer.flow.var = net_lmm_.add_variable(1.0, transfer.link_resources);
+  transfer.fluid.remaining = transfer.amount;
+  transfer.fluid.last_update = now_;
+  transfer.flow.var = net_lmm_.add_variable(1.0, *transfer.resources);
   const auto slot = static_cast<std::size_t>(transfer.flow.var);
   if (slot >= var_flows_.size()) var_flows_.resize(slot + 1);
   var_flows_[slot] =
@@ -619,10 +664,10 @@ void Engine::complete(Activity& activity) {
       auto& exec = static_cast<Exec&>(activity);
       finish_remove(exec.fluid.heap_pos);
       auto& execs = host_execs_[static_cast<std::size_t>(exec.host)];
-      if (exec.fluid.index < execs.size() &&
-          execs[exec.fluid.index].get() == &exec) {
-        execs[exec.fluid.index] = std::move(execs.back());
-        execs[exec.fluid.index]->fluid.index = exec.fluid.index;
+      const std::size_t slot = exec.host_slot;
+      if (slot < execs.size() && execs[slot].get() == &exec) {
+        execs[slot] = std::move(execs.back());
+        execs[slot]->host_slot = slot;
         execs.pop_back();
         reschedule_host(exec.host);
       }
@@ -636,6 +681,8 @@ void Engine::complete(Activity& activity) {
         member_erase(group, static_cast<std::size_t>(transfer.flow.member_pos));
         transfer.flow.group = -1;
         rekey_group(g);
+      } else {
+        finish_remove(transfer.fluid.heap_pos);
       }
       if (transfer.flow.var >= 0) {
         net_lmm_.remove_variable(transfer.flow.var);
@@ -647,8 +694,11 @@ void Engine::complete(Activity& activity) {
     default:
       break;
   }
-  for (const auto waiter : activity.waiters_) ready_.push_back(waiter);
-  activity.waiters_.clear();
+  if (activity.first_waiter_) {
+    ready_.push_back(std::exchange(activity.first_waiter_, {}));
+    for (const auto waiter : activity.more_waiters_) ready_.push_back(waiter);
+    activity.more_waiters_.clear();
+  }
 }
 
 bool Engine::try_fast_complete(Activity& activity) {
@@ -660,7 +710,7 @@ bool Engine::try_fast_complete(Activity& activity) {
   // to check against the event horizon.
   if (!config_.fast_path || !running_ || first_error_ || !ready_.empty())
     return false;
-  if (!activity.waiters_.empty()) return false;
+  if (activity.has_waiters()) return false;
   const auto kind = activity.kind();
   if (kind != Activity::Kind::exec && kind != Activity::Kind::transfer)
     return false;
@@ -675,10 +725,9 @@ bool Engine::try_fast_complete(Activity& activity) {
   if (finish_heap_.empty()) return false;
   const FinishItem& front = finish_heap_.front();
   const FlowGroup* group = nullptr;
-  if (kind == Activity::Kind::exec) {
-    if (front.exec != &activity) return false;
+  if (front.fluid) {
+    if (front.fluid != &activity) return false;
   } else {
-    if (front.exec) return false;
     group = &groups_[static_cast<std::size_t>(front.group)];
     if (group->members.front().flow != &activity) return false;
   }
@@ -733,8 +782,7 @@ bool Engine::try_fast_complete(Activity& activity) {
 
 void Engine::drain_ready() {
   while (!ready_.empty()) {
-    const auto handle = ready_.front();
-    ready_.pop_front();
+    const auto handle = ready_.pop_front();
     ++stats_.resumes;
     handle.resume();
   }
@@ -764,11 +812,11 @@ void Engine::run() {
       if (front.time > now_ + time_eps) break;
       // Hold the activity: completing it drops the engine's own reference.
       const ActivityPtr activity =
-          front.exec ? front.exec->shared_from_this()
-                     : ActivityPtr(var_flows_[static_cast<std::size_t>(
-                           groups_[static_cast<std::size_t>(front.group)]
-                               .members.front()
-                               .flow->flow.var)]);
+          front.fluid ? front.fluid->shared_from_this()
+                      : ActivityPtr(var_flows_[static_cast<std::size_t>(
+                            groups_[static_cast<std::size_t>(front.group)]
+                                .members.front()
+                                .flow->flow.var)]);
       finish_pop();
       complete(*activity);
     }

@@ -15,22 +15,31 @@
 //     re-solves only the connected component(s) of the constraint graph it
 //     touched, and a flow joining or leaving a single-bottleneck component
 //     is absorbed without a fill at all.
-//   - Flows live in rate groups mirroring the solver's: the members of one
-//     group all run at the group's share. A group tracks progress with one
-//     virtual clock V(t) = ∫ share dt (the virtual-time technique of
-//     GPS/WFQ); a member finishes when V reaches its key, mark + amount,
-//     where mark is V when it joined. The key does not change when the
-//     share does, so a share change re-keys one finish-queue entry per
-//     group (its head member), not one per flow: O(changed groups), not
-//     O(live flows). Groups of one keep the plain per-flow arithmetic.
-//   - Fluid progress is tracked lazily: an Exec stores its remaining work
-//     as of `last_update`, a group its clock; the predicted finishes sit in
-//     an indexed priority queue. Advancing simulated time is O(1) instead
-//     of O(active fluids).
+//   - Flows of a single-bottleneck component live in a rate group
+//     mirroring the solver's: the members of one group all run at the
+//     group's share. A group tracks progress with one virtual clock
+//     V(t) = ∫ share dt (the virtual-time technique of GPS/WFQ); a member
+//     finishes when V reaches its key, mark + amount, where mark is V when
+//     it joined. The key does not change when the share does, so a share
+//     change re-keys one finish-queue entry per group (its head member),
+//     not one per flow: O(changed groups), not O(live flows). Groups exist
+//     only for such components; every other flow (most of them on a torus)
+//     is accounted on its own, exactly like an Exec, with no group record.
+//   - Fluid progress is tracked lazily: an Exec or ungrouped flow stores
+//     its remaining work as of `last_update`, a group its clock; the
+//     predicted finishes sit in an indexed priority queue with two kinds of
+//     entry (fluid, group). Advancing simulated time is O(1) instead of
+//     O(active fluids).
+//   - The message path allocates nothing in the steady state: activities
+//     and coroutine frames come from the block pool (simkern/pool.hpp: per
+//     thread, 64-byte size classes, plain new/delete under ASan and TSan),
+//     an activity's first waiter is stored inline, the run queue is a ring
+//     that keeps its capacity, and a transfer points at its route's cached
+//     resource list.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -120,8 +129,9 @@ struct EngineStats {
   /// Solves of a single-bottleneck group answered by the incremental
   /// update instead of a fill.
   std::uint64_t solver_group_updates = 0;
-  /// Finish-queue re-keys caused by solves: one per rate group whose entry
-  /// a solve moved, queued or dropped (a group of any size counts once).
+  /// Finish-queue re-keys caused by solves: one per rate group or
+  /// ungrouped flow whose entry a solve moved, queued or dropped (a group
+  /// of any size counts once).
   std::uint64_t flows_rerated = 0;
   // Coroutine switches avoided by the fast path; exactly zero when
   // EngineConfig::fast_path is off.
@@ -202,7 +212,8 @@ class Engine {
   /// Sets a link's bandwidth to `bandwidth_factor` (> 0) and its latency to
   /// `latency_factor` (>= 0) times their nominal values from the current
   /// simulated time onwards. Flowing transfers are re-solved; latency
-  /// applies to transfers started after the call.
+  /// applies to transfers started after the call (one still in its latency
+  /// phase keeps the latency it started with).
   void set_link_factors(int link, double bandwidth_factor,
                         double latency_factor);
 
@@ -244,9 +255,7 @@ class Engine {
       }
       return engine->try_fast_complete(*activity);
     }
-    void await_suspend(std::coroutine_handle<> h) {
-      activity->waiters_.push_back(h);
-    }
+    void await_suspend(std::coroutine_handle<> h) { activity->add_waiter(h); }
     void await_resume() const noexcept {}
   };
 
@@ -257,9 +266,7 @@ class Engine {
   struct OwningAwaiter {
     ActivityPtr activity;
     bool await_ready() const noexcept { return activity->done(); }
-    void await_suspend(std::coroutine_handle<> h) {
-      activity->waiters_.push_back(h);
-    }
+    void await_suspend(std::coroutine_handle<> h) { activity->add_waiter(h); }
     void await_resume() const noexcept {}
   };
 
@@ -278,6 +285,10 @@ class Engine {
   friend class Gate;
   friend struct Task::promise_type::FinalAwaiter;
 
+  // A route's network resources (link l is resource l) in route order, and
+  // its latency under the current link factors. Transfers point at
+  // `resources`, so a cached route is never erased or moved (the map's
+  // nodes are stable); a link factor change updates `latency` in place.
   struct CachedRoute {
     std::vector<ResourceId> resources;
     double latency = 0.0;
@@ -294,18 +305,18 @@ class Engine {
     }
   };
 
-  // Finish-time queue entry: a running Exec (rate > 0) or a rate group
-  // with members and a positive share — exactly one entry each, re-keyed in
-  // place through FluidState::heap_pos / FlowGroup::heap_pos. Execs are
-  // kept alive by host_execs_, group members by var_flows_. Ties on time
-  // break on `seq`, the order in which the entry's activity last changed
-  // rate, then on the flow's start order.
+  // Finish-time queue entry: a fluid (a running Exec or ungrouped flow
+  // with rate > 0) or a rate group with members and a positive share —
+  // exactly one entry each, re-keyed in place through FluidState::heap_pos
+  // / FlowGroup::heap_pos. Execs are kept alive by host_execs_, flows by
+  // var_flows_. Ties on time break on `seq`, the order in which the entry's
+  // activity last changed rate, then on the flow's start order.
   struct FinishItem {
     SimTime time;
     std::uint64_t seq;
-    std::uint64_t order;  // head flow's start order (0 for Execs)
-    Exec* exec;           // the Exec, or null for a group entry
-    std::int32_t group;   // the group (exec == null)
+    std::uint64_t order;   // the flow's start order (0 for Execs)
+    FluidActivity* fluid;  // the fluid, or null for a group entry
+    std::int32_t group;    // the group (fluid == null)
   };
 
   // A member of a rate group: it completes when the group clock reaches
@@ -319,7 +330,8 @@ class Engine {
     std::uint64_t order;  // start order
     Transfer* flow;
   };
-  // A rate group (same id as the solver's). Every member runs at `share`;
+  // A rate group (same id as the solver's single-bottleneck group). Every
+  // member runs at `share`;
   // `clock` is the group's cumulative service V as of `last_update`, and a
   // member's remaining amount is key - V. With one member the clock is
   // folded into the key on every advance, which is exactly the per-flow
@@ -351,6 +363,8 @@ class Engine {
     }
   };
   const CachedRoute& cached_route(int src_host, int dst_host);
+  /// A route's latency under the current link factors.
+  double latency_of(const std::vector<ResourceId>& links) const;
   void complete(Activity& activity);
   void start_flow(Transfer& transfer);
 
@@ -383,8 +397,24 @@ class Engine {
   FlowGroup& begin_change(std::int32_t g);
   /// Applies the solver's share for group `g` if it moved meaningfully.
   void apply_share(std::int32_t g, double share);
+  /// Takes a flow out of its group (if any) with its remaining amount, its
+  /// rate and rate-change seq as of before this resolve; catches an
+  /// ungrouped flow up instead.
+  struct FlowProgress {
+    double remaining;
+    double rate;
+    std::uint64_t seq;
+  };
+  FlowProgress take_flow(Transfer& transfer);
   /// Moves a flow into group `g`, carrying its remaining amount over.
   void move_flow(Transfer& transfer, std::int32_t g);
+  /// Applies the solver's rate to a flow in no group (new, ungrouped, or
+  /// leaving a dissolving group); returns true when its entry changed.
+  bool rate_flow(Transfer& transfer, double rate);
+  /// Queues or re-keys a fluid's finish entry at its current rate, or drops
+  /// it when starved; returns true when the entry changed.
+  bool queue_fluid(FluidActivity& activity, std::uint64_t seq,
+                   std::uint64_t order);
   /// Queues, moves or drops a group's finish entry after its share or
   /// members changed (the group already advanced to now); a head member
   /// that neither changed nor changed rate keeps its entry untouched.
@@ -406,13 +436,17 @@ class Engine {
   void catch_up(FluidState& fluid);
   /// Sets an Exec's rate (catching it up first) and requeues its finish.
   void set_rate(Exec& exec, double rate);
+  /// The flow behind solver variable `var` (null once completed).
+  Transfer* flow_of(VarId var) const {
+    return var_flows_[static_cast<std::size_t>(var)].get();
+  }
 
   /// Equal-share rescheduling of one host's Execs.
   void reschedule_host(int host);
-  /// Incremental network max-min resolve: applies the solver's group
-  /// report (joins carry a flow's remaining amount into its new group; a
-  /// share change advances the group clock) and re-keys each changed group
-  /// once.
+  /// Incremental network max-min resolve: applies the solver's report
+  /// (joins carry a flow's remaining amount into its new group; a share
+  /// change advances the group clock; an ungrouped flow is re-rated like an
+  /// Exec) and re-keys each changed group once.
   void resolve_network();
 
   void drain_ready();
@@ -423,11 +457,10 @@ class Engine {
 
   // Network model state. The engine keeps flowing transfers alive through
   // var_flows_, a VarId-indexed side table (dense: the solver recycles ids)
-  // that maps the solver's reported joins back to their flows. groups_ is
-  // indexed by the solver's group ids (also recycled), so the steady state
-  // allocates nothing.
+  // that maps the solver's reports back to their flows. groups_ is indexed
+  // by the solver's group ids (also recycled), so the steady state
+  // allocates nothing. Network resource l is link l.
   MaxMin net_lmm_;
-  std::vector<ResourceId> link_res_;   // link id -> network resource
   std::vector<std::shared_ptr<Transfer>> var_flows_;  // VarId -> flow
   std::vector<FlowGroup> groups_;
   std::vector<std::int32_t> touched_groups_;  // groups changed this resolve
@@ -445,12 +478,41 @@ class Engine {
   std::vector<double> link_latency_factor_;
 
   std::unordered_map<std::uint64_t, CachedRoute> route_cache_;
+  // Per host: the loopback link's resource, or nothing (injections).
+  std::vector<std::vector<ResourceId>> loopback_routes_;
 
   SimTime now_ = 0.0;
   std::uint64_t seq_ = 0;
   std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap_;
-  std::vector<FinishItem> finish_heap_;  // one per running Exec and group
-  std::deque<std::coroutine_handle<>> ready_;
+  std::vector<FinishItem> finish_heap_;  // one per queued fluid and group
+  // Runnable coroutines, FIFO: a ring that keeps its capacity (a
+  // std::deque frees and reallocates a block every 64 handles).
+  class ReadyQueue {
+   public:
+    bool empty() const { return head_ == tail_; }
+    void push_back(std::coroutine_handle<> h) {
+      if (tail_ - head_ == ring_.size()) grow();
+      ring_[tail_++ & (ring_.size() - 1)] = h;
+    }
+    std::coroutine_handle<> pop_front() {
+      return ring_[head_++ & (ring_.size() - 1)];
+    }
+
+   private:
+    void grow() {
+      std::vector<std::coroutine_handle<>> next(
+          std::max<std::size_t>(64, 2 * ring_.size()));
+      for (std::size_t i = head_; i != tail_; ++i)
+        next[i - head_] = ring_[i & (ring_.size() - 1)];
+      tail_ -= head_;
+      head_ = 0;
+      ring_.swap(next);
+    }
+    std::vector<std::coroutine_handle<>> ring_;  // size: a power of two
+    std::size_t head_ = 0;
+    std::size_t tail_ = 0;
+  };
+  ReadyQueue ready_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::size_t live_processes_ = 0;
   std::exception_ptr first_error_;

@@ -171,7 +171,7 @@ bool MaxMin::try_join(VarId id) {
     heap_fix(group, r);
   }
   v.group = g;
-  v.joining = true;
+  v.unreported = true;
   ++group.members;
   ++group.touched;
   group.joined.push_back(id);
@@ -218,15 +218,15 @@ bool MaxMin::update_group(GroupId g) {
       for (const VarId id :
            resources_[static_cast<std::size_t>(group.bottleneck)].vars) {
         const Var& v = vars_[static_cast<std::size_t>(id)];
-        if (!v.joining && share * v.weight != old * v.weight)
+        if (!v.unreported && share * v.weight != old * v.weight)
           changed_.push_back(id);
       }
     }
   }
   for (const VarId id : group.joined) {
     Var& v = vars_[static_cast<std::size_t>(id)];
-    if (!v.active || !v.joining || v.group != g) continue;  // left again
-    v.joining = false;
+    if (!v.active || !v.unreported || v.group != g) continue;  // left again
+    v.unreported = false;
     changes_.push_back(GroupChange{g, id, share});
     if (want_changed_ && share * v.weight != 0.0) changed_.push_back(id);
   }
@@ -263,7 +263,7 @@ VarId MaxMin::add_variable(double weight,
   v.bound = bound;
   v.rate = 0.0;
   v.active = true;
-  v.joining = false;
+  v.unreported = true;
   v.group = -1;
   v.resources = resources;
   // Routes from the platform's route cache arrive pre-sorted; skip the sort
@@ -308,12 +308,15 @@ void MaxMin::remove_variable(VarId id) {
     if (group.valid) leave(v);
     if (--group.members == 0) retire(v.group);
     v.group = -1;
-    v.joining = false;
   }
   // Intrusive bidirectional membership: swap-remove this variable from each
   // of its resources' member lists, repairing the moved member's stored
   // position. Routes are a handful of links, so a linear scan of the moved
   // member's (sorted) resource list beats std::lower_bound's branching.
+  // A resource left empty changes no other rate, so only resources still
+  // carrying variables need a solve; an emptied one forgets its group (a
+  // valid group's leave() already let it go, an invalid one is rebuilt by
+  // its next fill).
   for (std::size_t i = 0; i < v.resources.size(); ++i) {
     const ResourceId r = v.resources[i];
     Res& res = resources_[static_cast<std::size_t>(r)];
@@ -327,7 +330,12 @@ void MaxMin::remove_variable(VarId id) {
       while (m.resources[k] != r) ++k;
       m.positions[k] = pos;
     }
-    mark_resource_modified(r);
+    if (res.vars.empty()) {
+      res.group = -1;
+      res.heap_pos = -1;
+    } else {
+      mark_resource_modified(r);
+    }
   }
   v.active = false;
   v.rate = 0.0;
@@ -448,9 +456,9 @@ void MaxMin::fill_component(std::size_t rb, std::size_t re, std::size_t vb,
   // A component is single-bottleneck when its first round saturates every
   // variable through one binding resource they all cross, at that
   // resource's exact share (the smallest offered). It becomes a group when
-  // it has kMinGroupVars or more variables, or when its first reported
-  // member's group is one already (it carries on at any size, as it does
-  // through the incremental update).
+  // it has kMinGroupVars or more variables, or when it holds a reported
+  // member of a group already (the group carries on at any size, as it
+  // does through the incremental update).
   const auto nvars = static_cast<std::uint32_t>(ve - vb);
   // (A group's bottleneck carries its id, so an ungrouped component holds
   // no group to carry on.)
@@ -459,9 +467,7 @@ void MaxMin::fill_component(std::size_t rb, std::size_t re, std::size_t vb,
                            j < ve;
        ++j) {
     const Var& v = vars_[static_cast<std::size_t>(component_vars_[j])];
-    if (v.group < 0 || v.joining) continue;
-    first_round = groups_[static_cast<std::size_t>(v.group)].bottleneck >= 0;
-    break;
+    first_round = v.group >= 0 && !v.unreported;
   }
   std::int64_t bottleneck = -1;
   double first_share = 0.0;
@@ -536,25 +542,17 @@ void MaxMin::fill_component(std::size_t rb, std::size_t re, std::size_t vb,
 void MaxMin::assign_groups(std::size_t rb, std::size_t re, std::size_t vb,
                            std::size_t ve, std::int64_t bottleneck,
                            double share) {
-  ++fill_epoch_;
   for (std::size_t i = rb; fill_grouped_ && i < re; ++i) {
     Res& res = resources_[static_cast<std::size_t>(component_res_[i])];
     res.group = -1;
     res.heap_pos = -1;
   }
-  // Moves `id` into group `g` (counted there) and reports the join.
-  const auto join = [this](VarId id, GroupId g) {
-    Var& v = vars_[static_cast<std::size_t>(id)];
-    if (v.group != g) {
-      if (v.group >= 0 &&
-          --groups_[static_cast<std::size_t>(v.group)].members == 0)
-        retire(v.group);
-      ++groups_[static_cast<std::size_t>(g)].members;
-      v.group = g;
-    }
-    v.joining = false;
-    changes_.push_back(
-        GroupChange{g, id, groups_[static_cast<std::size_t>(g)].share});
+  // Takes `id` out of its group, freeing the group with its last member.
+  const auto leave_group = [this](Var& v) {
+    if (v.group >= 0 &&
+        --groups_[static_cast<std::size_t>(v.group)].members == 0)
+      retire(v.group);
+    v.group = -1;
   };
 
   if (bottleneck >= 0) {
@@ -564,13 +562,12 @@ void MaxMin::assign_groups(std::size_t rb, std::size_t re, std::size_t vb,
     GroupId g = -1;
     for (std::size_t j = vb; j < ve && g < 0; ++j) {
       const Var& v = vars_[static_cast<std::size_t>(component_vars_[j])];
-      if (v.group >= 0 && !v.joining) g = v.group;
+      if (v.group >= 0 && !v.unreported) g = v.group;
     }
     if (g < 0) g = new_group();
     Group& group = groups_[static_cast<std::size_t>(g)];
     const ResourceId r_bottleneck =
         component_res_[static_cast<std::size_t>(bottleneck)];
-    group.claimed = fill_epoch_;
     group.bottleneck = r_bottleneck;
     group.valid = !full_solve_;  // the full solve always refills
     group.touched = 0;
@@ -603,54 +600,34 @@ void MaxMin::assign_groups(std::size_t rb, std::size_t re, std::size_t vb,
       group.share = share;
       changes_.push_back(GroupChange{g, -1, share});
     }
+    // Every variable not yet reported in the group joins it.
     for (std::size_t j = vb; j < ve; ++j) {
       const VarId id = component_vars_[j];
-      const Var& v = vars_[static_cast<std::size_t>(id)];
-      if (v.group != g || v.joining) join(id, g);
+      Var& v = vars_[static_cast<std::size_t>(id)];
+      if (v.group == g && !v.unreported) continue;
+      if (v.group != g) {
+        leave_group(v);
+        ++group.members;
+        v.group = g;
+      }
+      v.unreported = false;
+      changes_.push_back(GroupChange{g, id, share});
     }
     return;
   }
 
-  // Groups of one: a member's existing group is kept by the first of its
-  // members in component order; everyone else gets a fresh group. A group
-  // of one's share is its member's rate, so in a component that held no
-  // single-bottleneck group the member's old rate is the group's share.
+  // No single bottleneck: every variable is rated by the fill on its own,
+  // in no group. One is reported when it is new, leaves a group, or its
+  // rate moved.
   for (std::size_t j = vb; j < ve; ++j) {
     const VarId id = component_vars_[j];
     Var& v = vars_[static_cast<std::size_t>(id)];
     const double rate = fill_var_[j].rate;
-    if (!fill_grouped_ && v.group >= 0) {
-      if (rate != v.rate) {
-        v.rate = rate;
-        groups_[static_cast<std::size_t>(v.group)].share = rate;
-        changes_.push_back(GroupChange{v.group, -1, rate});
-      }
-      continue;
-    }
+    const bool report = v.unreported || v.group >= 0 || rate != v.rate;
+    leave_group(v);
+    v.unreported = false;
     v.rate = rate;
-    if (v.group >= 0 && !v.joining &&
-        groups_[static_cast<std::size_t>(v.group)].claimed != fill_epoch_) {
-      Group& group = groups_[static_cast<std::size_t>(v.group)];
-      if (group.bottleneck >= 0) {
-        // The first member keeps a dissolving single-bottleneck group.
-        group.claimed = fill_epoch_;
-        group.bottleneck = -1;
-        group.valid = false;
-        group.touched = 0;
-        group.joined.clear();
-        group.heap.clear();
-        group.share = -1.0;  // report the member's rate below
-      }
-      if (rate != group.share) {
-        group.share = rate;
-        changes_.push_back(GroupChange{v.group, -1, rate});
-      }
-      continue;
-    }
-    const GroupId g = new_group();
-    Group& group = groups_[static_cast<std::size_t>(g)];
-    group.share = rate;
-    join(id, g);
+    if (report) changes_.push_back(GroupChange{-1, id, rate});
   }
 }
 

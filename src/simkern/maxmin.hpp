@@ -25,10 +25,11 @@
 // that component's state alone. Reports are appended component by
 // component, in seed order.
 //
-// Rate groups: after a fill, every active variable belongs to exactly one
-// group. A *single-bottleneck* group is a whole component in which one
-// saturated resource R sets every member's rate: share = cap_R / W, where W
-// is the component's total weight, and each member runs at share · weight.
+// Rate groups: a *single-bottleneck* group is a whole component in which
+// one saturated resource R sets every member's rate: share = cap_R / W,
+// where W is the component's total weight, and each member runs at
+// share · weight. Only such components get a group; every other variable
+// is in no group (group -1) and is rated by the fill on its own.
 // The fill recognises that shape (one round, one binding resource R that
 // every component variable crosses, no finite bounds, integer-valued
 // weights) in components of eight or more variables — below that, forming
@@ -42,13 +43,18 @@
 // exact, so the share is bit-identical to what the fill computes. Anything
 // else falls back to the fill: merges with other components, capacity
 // changes, bounded variables, non-integer weights, or a check that fails
-// (another resource becomes the bottleneck). Every other variable is a
-// group of one whose rate the fill sets directly. solve_groups() reports
+// (another resource becomes the bottleneck). solve_groups() reports
 // changes per group — a share change once, plus each variable that joined a
 // group — so a caller tracking progress per group (the engine's virtual
-// clocks) does O(changed groups) work instead of O(members). Full-solve
-// mode never takes the incremental update: it refills every component and
-// arrives at the same groups, shares and report.
+// clocks) does O(changed groups) work instead of O(members); an ungrouped
+// variable is reported on its own when it is new, leaves a dissolving
+// group, or its rate changes. Full-solve mode never takes the incremental
+// update: it refills every component and arrives at the same groups,
+// shares and report.
+//
+// A removal that leaves a resource empty changes no other rate, so it
+// does not make the system dirty: a flow whose links carry nothing else
+// when it ends costs no solve at all.
 //
 // Membership lists are intrusively bidirectional: each variable stores, for
 // every resource it uses, its index in that resource's member list, so
@@ -94,12 +100,14 @@ class MaxMin {
 
   /// One entry of solve_groups()'s report.
   struct GroupChange {
+    /// The single-bottleneck group, or -1: `var` is in no group (new,
+    /// left a dissolving group, or re-rated) and `share` is its rate.
     GroupId group;
     /// >= 0: this variable joined `group` (new, or moved from another
-    /// group). -1: `group`'s share changed.
+    /// group), or is the ungrouped variable. -1: `group`'s share changed.
     VarId var;
-    /// The group's share: the rate per unit of weight of a
-    /// single-bottleneck group's members, or a group of one's member rate.
+    /// The group's share (the rate per unit of weight of its members), or
+    /// an ungrouped variable's rate.
     double share;
   };
 
@@ -140,11 +148,12 @@ class MaxMin {
   /// Rate assigned by the last solve(). Requires an active variable.
   double rate(VarId v) const;
 
-  /// The group an active variable belongs to since the last solve().
+  /// The group an active variable belongs to since the last solve(), or
+  /// -1 when it is in none.
   GroupId group_of(VarId v) const;
-  /// The resource every member's rate is set by, or -1 for a group of one.
+  /// The resource every member's rate is set by; -1 for no group (-1).
   ResourceId group_bottleneck(GroupId g) const {
-    return groups_[static_cast<std::size_t>(g)].bottleneck;
+    return g < 0 ? -1 : groups_[static_cast<std::size_t>(g)].bottleneck;
   }
   /// One past the largest group id handed out so far.
   std::size_t group_count() const { return groups_.size(); }
@@ -180,10 +189,11 @@ class MaxMin {
   struct Var {
     double weight = 1.0;
     double bound = kInf;
-    double rate = 0.0;  // groups of one; bottleneck-group members use share
+    double rate = 0.0;  // ungrouped vars; group members use the share
     bool active = false;
     bool modified = false;  // queued in modified_vars_ (resource-less vars)
-    bool joining = false;   // joined `group` incrementally, not reported yet
+    /// New, or joined `group` incrementally: not reported yet.
+    bool unreported = false;
     GroupId group = -1;
     // solve() scratch:
     bool in_component = false;
@@ -192,26 +202,23 @@ class MaxMin {
     std::vector<std::uint32_t> positions;    // index in each resource's vars
   };
   struct Group {
-    ResourceId bottleneck = -1;  // -1: a group of one, rated by the fill
+    ResourceId bottleneck = -1;  // the resource setting every member's rate
     /// Single-bottleneck state is current: incremental updates allowed.
     /// Cleared by any mutation the update cannot absorb.
     bool valid = false;
-    double weight = 0.0;  // W: total member weight (bottleneck groups)
+    double weight = 0.0;  // W: total member weight
     double share = 0.0;   // as in GroupChange::share
     std::size_t members = 0;    // variables whose `group` is this one
     std::uint64_t touched = 0;  // joins/leaves absorbed since the last solve
     std::uint64_t epoch = 0;    // solve that already updated this group
-    std::uint64_t claimed = 0;  // fill that already assigned this group
     std::vector<ResourceId> heap;  // other resources, min-heap on key
     std::vector<VarId> joined;     // joins not reported yet (may be stale)
   };
 
   void mark_resource_modified(ResourceId r);
   double rate_of(const Var& v) const {
-    if (v.group >= 0 && !v.joining) {
-      const Group& group = groups_[static_cast<std::size_t>(v.group)];
-      if (group.bottleneck >= 0) return group.share * v.weight;
-    }
+    if (v.group >= 0 && !v.unreported)
+      return groups_[static_cast<std::size_t>(v.group)].share * v.weight;
     return v.rate;
   }
   /// Loads a variable joining the component being grown into the fill
@@ -250,9 +257,9 @@ class MaxMin {
   /// the fill_* arrays), then the group assignment of its variables.
   void fill_component(std::size_t rb, std::size_t re, std::size_t vb,
                       std::size_t ve);
-  /// Puts a filled component's variables into groups: one single-bottleneck
-  /// group around resource slot `bottleneck` (>= 0) sharing `share`, or
-  /// groups of one. Appends the report entries.
+  /// Puts a filled component's variables into one single-bottleneck group
+  /// around resource slot `bottleneck` (>= 0) sharing `share`, or into no
+  /// group. Appends the report entries.
   void assign_groups(std::size_t rb, std::size_t re, std::size_t vb,
                      std::size_t ve, std::int64_t bottleneck, double share);
 
@@ -266,7 +273,6 @@ class MaxMin {
   bool full_solve_ = false;
   bool want_changed_ = false;  // solve_changed() in progress
   std::uint64_t solve_epoch_ = 0;
-  std::uint64_t fill_epoch_ = 0;
   std::size_t visited_ = 0;  // vars visited by the current solve
 
   // Modified sets (deduplicated through the per-entry `modified` flags).

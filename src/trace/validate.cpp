@@ -23,6 +23,24 @@ std::size_t ValidateReport::warnings() const {
   return issues.size() - errors();
 }
 
+std::string describe(const ValidateIssue& issue) {
+  if (issue.pid < 0) return issue.message;
+  std::string where = "process " + std::to_string(issue.pid);
+  if (issue.index >= 0) where += " action #" + std::to_string(issue.index);
+  return where + ": " + issue.message;
+}
+
+std::string partner_out_of_range_message(const Action& a, int nprocs) {
+  return std::string(action_keyword(a.type)) + " with partner " +
+         std::to_string(a.partner) + " outside [0, " + std::to_string(nprocs) +
+         ")";
+}
+
+std::string foreign_action_message(const Action& a, int pid) {
+  return "action labelled for process " + std::to_string(a.pid) +
+         " in process " + std::to_string(pid) + "'s stream";
+}
+
 namespace {
 
 bool is_collective(ActionType t) {
@@ -92,21 +110,14 @@ std::uint64_t check_stream(ActionSource& source, int pid, int nprocs,
     const Action& a = *action;
     const auto index = static_cast<std::int64_t>(count);
     ++count;
-    if (a.pid != pid)
-      sink.error(pid, index,
-                 "action labelled for process " + std::to_string(a.pid) +
-                     " in process " + std::to_string(pid) + "'s stream");
+    if (a.pid != pid) sink.error(pid, index, foreign_action_message(a, pid));
     if (a.volume < 0)
       sink.error(pid, index, "negative volume " + std::to_string(a.volume));
     if (a.volume2 < 0)
       sink.error(pid, index,
                  "negative second volume " + std::to_string(a.volume2));
-    if ((is_send(a.type) || is_recv(a.type)) &&
-        (a.partner < 0 || a.partner >= nprocs))
-      sink.error(pid, index,
-                 std::string(action_keyword(a.type)) + " with partner " +
-                     std::to_string(a.partner) + " outside [0, " +
-                     std::to_string(nprocs) + ")");
+    if (partner_out_of_range(a, nprocs))
+      sink.error(pid, index, partner_out_of_range_message(a, nprocs));
     switch (a.type) {
       case ActionType::comm_size:
         if (a.comm_size != nprocs)
@@ -274,15 +285,8 @@ ValidateReport validate(const TraceSet& traces) {
 
 std::string ValidateReport::render() const {
   std::ostringstream os;
-  for (const ValidateIssue& i : issues) {
-    os << to_string(i.severity);
-    if (i.pid >= 0) {
-      os << " [process " << i.pid;
-      if (i.index >= 0) os << " action #" << i.index;
-      os << "]";
-    }
-    os << ": " << i.message << "\n";
-  }
+  for (const ValidateIssue& i : issues)
+    os << to_string(i.severity) << ": " << describe(i) << "\n";
   os << (ok ? "OK" : "FAILED") << ": " << nprocs << " process(es), "
      << actions << " action(s), " << errors() << " error(s), " << warnings()
      << " warning(s)\n";

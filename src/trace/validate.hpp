@@ -38,6 +38,29 @@ struct ValidateIssue {
   std::string message;
 };
 
+/// An issue as one line without its severity: "process P action #I:
+/// <message>", or the bare message for a trace-wide issue.
+std::string describe(const ValidateIssue& issue);
+
+// Per-action checks that only the trace set can fail. validate() reports
+// them, and the replayer rejects the action with the same describe() line.
+
+/// Whether a point-to-point action names a partner outside [0, nprocs).
+inline bool partner_out_of_range(const Action& a, int nprocs) {
+  switch (a.type) {
+    case ActionType::send:
+    case ActionType::isend:
+    case ActionType::recv:
+    case ActionType::irecv:
+      return a.partner < 0 || a.partner >= nprocs;
+    default:
+      return false;
+  }
+}
+std::string partner_out_of_range_message(const Action& a, int nprocs);
+/// An action labelled for another process than the stream `pid` it sits in.
+std::string foreign_action_message(const Action& a, int pid);
+
 struct ValidateReport {
   bool ok = true;  ///< no error-severity issues (warnings allowed)
   int nprocs = 0;
@@ -47,7 +70,8 @@ struct ValidateReport {
   std::size_t errors() const;
   std::size_t warnings() const;
 
-  /// Human-readable, one line per issue plus a summary line.
+  /// Human-readable, one "<severity>: describe()" line per issue plus a
+  /// summary line.
   std::string render() const;
   /// Machine-readable JSON object (ok, nprocs, actions, issues[]).
   std::string to_json() const;

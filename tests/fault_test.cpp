@@ -203,3 +203,55 @@ TEST(FaultTest, FaultedSweepIsDeterministicWithBothRows) {
   EXPECT_GT(serial[1].replay.simulated_time,
             serial[0].replay.simulated_time);
 }
+
+// A link's latency degrades while a message on its route is still in its
+// latency phase. The in-flight message keeps the latency it started with,
+// the next message on the route gets the new one (the cached route is
+// updated in place, not dropped, so the in-flight transfer's shared route
+// list stays valid), and the default engine matches the reference engine
+// bit for bit.
+TEST(FaultTest, LatencyFaultSparesTheMessageInItsLatencyPhase) {
+  constexpr double kLatency = 1e-3, kBandwidth = 1e8, kBytes = 1e3;
+  const auto platform = std::make_shared<plat::Platform>();
+  plat::ClusterSpec cluster;
+  cluster.count = 2;
+  cluster.bandwidth = kBandwidth;
+  cluster.latency = kLatency;
+  cluster.backbone_bandwidth = 10 * kBandwidth;
+  cluster.backbone_latency = kLatency;
+  const auto hosts = plat::build_cluster(*platform, cluster);
+  platform->set_net_model(plat::PiecewiseNetModel::affine_model());
+
+  auto spec = base_spec(platform, hosts,
+                        {{{0, ActionType::send, 1, kBytes, 0, 0},
+                          {0, ActionType::compute, -1, 1e7, 0, 0},
+                          {0, ActionType::send, 1, kBytes, 0, 0}},
+                         {{1, ActionType::recv, 0, kBytes, 0, 0},
+                          {1, ActionType::recv, 0, kBytes, 0, 0}}});
+  spec.config.record_timed_trace = true;
+  FaultSpec fault = link_fault("node-0_nic", 1.0, 1.5 * kLatency);
+  fault.latency_factor = 10.0;
+  spec.faults.push_back(fault);
+
+  const ReplayResult run = run_scenario(spec);
+  spec.config.reference_engine = true;
+  const ReplayResult ref = run_scenario(spec);
+  ASSERT_EQ(run.timed_trace.size(), ref.timed_trace.size());
+  for (std::size_t i = 0; i < run.timed_trace.size(); ++i) {
+    const TimedAction& a = run.timed_trace[i];
+    const TimedAction& b = ref.timed_trace[i];
+    EXPECT_EQ(a.pid, b.pid);
+    EXPECT_EQ(std::memcmp(&a.start, &b.start, sizeof a.start), 0) << i;
+    EXPECT_EQ(std::memcmp(&a.end, &b.end, sizeof a.end), 0) << i;
+  }
+
+  std::vector<TimedAction> sends, recvs;
+  for (const TimedAction& t : run.timed_trace)
+    (t.pid == 0 ? sends : recvs).push_back(t);
+  ASSERT_EQ(sends.size(), 3u);
+  ASSERT_EQ(recvs.size(), 2u);
+  // Three links of kLatency each, then one of them at ten times that.
+  EXPECT_NEAR(recvs[0].end, 3 * kLatency + kBytes / kBandwidth, 1e-12);
+  EXPECT_NEAR(recvs[1].end,
+              sends[2].start + 12 * kLatency + kBytes / kBandwidth, 1e-12);
+}

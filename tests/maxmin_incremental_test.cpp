@@ -396,8 +396,8 @@ TEST(MaxMinIncremental, EngineDifferentialWithFaults) {
   spec.traces = trace::TraceSet::in_memory(ring_workload(8));
 
   // Degrade a host mid-run and a link (bandwidth and latency) early on:
-  // exercises reschedule_host, set_capacity and the route-cache
-  // invalidation under both solver modes.
+  // exercises reschedule_host, set_capacity and the cached routes' latency
+  // update under both solver modes.
   FaultSpec host_fault;
   host_fault.kind = FaultSpec::Kind::host;
   host_fault.target = "bordereau-2.bordeaux.grid5000.fr";

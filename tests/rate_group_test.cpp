@@ -4,7 +4,8 @@
 // closed-form processor-sharing finish times, and cover the hand-overs the
 // update must leave to the fill: the bottleneck moving between the backbone
 // and the NICs, a backbone degradation while a group is live, members
-// sharing a NIC, and the coroutine fast path's runner-up check.
+// sharing a NIC, a flow moving into and out of a group, and the coroutine
+// fast path's runner-up check.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -184,8 +185,8 @@ TEST(RateGroup, BottleneckMovesBetweenBackboneAndNics) {
       EXPECT_TRUE(bit_equal(inc.rate(v), full.rate(v)));
       EXPECT_TRUE(bit_equal(
           inc.rate(v), fresh.rate(fresh_vars[static_cast<std::size_t>(i)])));
-      // Backbone-bound: one group around the backbone. NIC-bound: each
-      // flow in its own group, rated by the fill.
+      // Backbone-bound: one group around the backbone. NIC-bound: no
+      // group, each flow rated by the fill.
       if (n >= 10) {
         EXPECT_EQ(inc.group_of(v), inc.group_of(vars[0]));
         EXPECT_EQ(inc.group_bottleneck(inc.group_of(v)), backbone);
@@ -291,6 +292,64 @@ TEST(RateGroup, TwoMembersSharingANic) {
   expect_relative(run.done[0], 16e6 / kNic, 1e-12);
   expect_relative(run.done[1], 16e6 / kNic, 1e-12);
   expect_relative(run.done[2], 0.01 + 4e6 / kNic, 1e-12);
+}
+
+// A long flow crosses the backbone alone (no group: it shares no
+// bottleneck), then eight flows join it behind the saturated backbone (one
+// group of nine), then its own NIC degrades below its backbone share: two
+// resources bind, the group dissolves and the flow is accounted on its own
+// again. Its remaining amount carries over at each hand-over, bit for bit
+// with the reference engine, which arrives at the same group states.
+TEST(RateGroup, FlowMovesUngroupedToGroupedToUngrouped) {
+  constexpr double kNic = 1e9, kBackbone = 1e9;
+  constexpr double kJoin = 1e-3, kDegrade = 5e-3, kProbe = 1e-4;
+  const auto platform = star(18, kNic, kBackbone);
+  const auto nic0 = platform.find_link("node-0_nic");
+  ASSERT_TRUE(nic0.has_value());
+  std::vector<std::vector<double>> done(2);
+  std::vector<std::vector<int>> grouped(2);
+  for (const bool reference : {true, false}) {
+    sim::EngineConfig config;
+    config.full_solve = reference;
+    config.fast_path = !reference;
+    sim::Engine engine(platform, config);
+    auto& times = done[reference ? 0 : 1];
+    auto& states = grouped[reference ? 0 : 1];
+    times.assign(9, -1.0);
+    std::shared_ptr<sim::Transfer> longest;
+    engine.spawn("long", 0, [&](sim::Process&) -> sim::Task {
+      longest = engine.transfer_async(0, 1, 2e7);
+      co_await engine.wait(longest);
+      times[0] = engine.now();
+    });
+    for (int i = 1; i <= 8; ++i) {
+      engine.spawn("join", 2 * i, [&, i](sim::Process&) -> sim::Task {
+        co_await engine.wait_for(kJoin);
+        co_await engine.wait(engine.transfer_async(2 * i, 2 * i + 1, 4e6));
+        times[static_cast<std::size_t>(i)] = engine.now();
+      });
+    }
+    engine.spawn("probe", 0, [&](sim::Process&) -> sim::Task {
+      for (const double t : {kJoin / 2, kJoin + kProbe, kDegrade + kProbe}) {
+        co_await engine.wait_for(t - engine.now());
+        states.push_back(longest->flow.group >= 0 ? 1 : 0);
+      }
+    });
+    engine.spawn("fault", 0, [&](sim::Process&) -> sim::Task {
+      co_await engine.wait_for(kDegrade);
+      engine.set_link_factors(*nic0, 0.01, 1.0);
+    });
+    engine.run();
+  }
+  EXPECT_EQ(grouped[0], (std::vector<int>{0, 1, 0}));
+  EXPECT_EQ(grouped[1], (std::vector<int>{0, 1, 0}));
+  for (std::size_t i = 0; i < done[0].size(); ++i)
+    EXPECT_TRUE(bit_equal(done[0][i], done[1][i]))
+        << "flow " << i << ": " << done[0][i] << " vs " << done[1][i];
+  // Alone until kJoin at kNic, a ninth of the backbone until kDegrade, then
+  // a hundredth of its NIC.
+  const double left = 2e7 - kNic * kJoin - kBackbone / 9 * (kDegrade - kJoin);
+  expect_relative(done[1][0], kDegrade + left / (kNic / 100), 1e-12);
 }
 
 // One process starts eight equal flows through its NIC (a group around the

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "platform/cluster.hpp"
+#include "replay/scenario.hpp"
+#include "support/error.hpp"
 #include "trace/validate.hpp"
 
 using namespace tir;
@@ -190,4 +193,38 @@ TEST(TruncateConsistentTest, WaitWithoutPendingIsCut) {
   const auto cut =
       trace::truncate_consistent(trace::TraceSet::in_memory(streams));
   EXPECT_EQ(cut.kept[0], 1u);  // cut at the stray wait
+}
+
+// What only the trace set shows (a partner outside [0, nprocs), a record
+// labelled for another process) fails the replay with the line the
+// validator prints for it, naming the process and the action index.
+TEST(ValidateTest, ReplayRejectsWhatOnlyTheTraceSetShowsWithTheSameLine) {
+  const std::vector<std::vector<std::vector<Action>>> cases = {
+      {{{0, ActionType::compute, -1, 5, 0, 0},
+        {0, ActionType::send, 9, 100, 0, 0}},
+       {{1, ActionType::compute, -1, 5, 0, 0}}},
+      {{{0, ActionType::compute, -1, 5, 0, 0},
+        {1, ActionType::compute, -1, 5, 0, 0}},
+       {{1, ActionType::compute, -1, 5, 0, 0}}},
+  };
+  const auto platform = std::make_shared<plat::Platform>();
+  const auto hosts = plat::build_cluster(*platform, plat::bordereau_spec(2));
+  for (const auto& streams : cases) {
+    const auto traces = trace::TraceSet::in_memory(streams);
+    const auto report = trace::validate(traces);
+    ASSERT_EQ(report.errors(), 1u) << report.render();
+    const std::string line = trace::describe(report.issues[0]);
+    EXPECT_EQ(line.rfind("process 0 action #1: ", 0), 0u) << line;
+
+    replay::ScenarioSpec spec;
+    spec.platform = platform;
+    spec.process_hosts = hosts;
+    spec.traces = traces;
+    try {
+      replay::run_scenario(spec);
+      ADD_FAILURE() << "replayed: " << line;
+    } catch (const SimError& e) {
+      EXPECT_EQ(std::string(e.what()), line);
+    }
+  }
 }

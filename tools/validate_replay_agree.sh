@@ -1,7 +1,8 @@
 #!/bin/sh
 # The validator and the replayer must agree on what is a valid trace: on
 # each malformed fixture below, tir-validate and tir-replay both exit
-# non-zero and print the same "error: <file>:<where>: <reason>" line.
+# non-zero and print the same "error: <file>:<where>: <reason>" line (or,
+# for what only the trace set shows, "error: process P action #I: ...").
 #
 # Usage: validate_replay_agree.sh TIR-VALIDATE TIR-REPLAY TIR-SWEEP
 #                                 TIR-GENTRACE WORKDIR
@@ -60,6 +61,21 @@ printf 'p0 send p4294967297 100\n' >"$work/partner/SG_process0.trace"
 printf 'p1 recv p0 100\n' >"$work/partner/SG_process1.trace"
 agree partner "partner/SG_process0.trace:1: partner '4294967297' out of range" \
   "" "$work/partner"
+
+# Range errors only the trace set can see, named by process and action
+# index: a partner inside int but outside [0, nprocs), and a split-layout
+# record labelled for another process.
+mkdir -p "$work/nprocs"
+printf 'p0 compute 5\np0 send p9 100\n' >"$work/nprocs/SG_process0.trace"
+printf 'p1 compute 5\n' >"$work/nprocs/SG_process1.trace"
+agree partner-nprocs "process 0 action #1: send with partner 9 outside [0, 2)" \
+  "" "$work/nprocs"
+mkdir -p "$work/label"
+printf 'p0 compute 5\np1 compute 5\n' >"$work/label/SG_process0.trace"
+printf 'p1 compute 5\n' >"$work/label/SG_process1.trace"
+agree foreign-label \
+  "process 0 action #1: action labelled for process 1 in process 0's stream" \
+  "" "$work/label"
 
 # Truncated binary and compact files: the error names the byte offset.
 for codec in binary compact; do
